@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+#: requested relative residual of every returned eigenpair (see solve_pencil)
+_RESIDUAL_TOL = 1e-8
+#: QL sweeps allowed per eigenvalue before the iteration counts as stalled
+_QL_MAX_SWEEPS = 50
+#: inverse-iteration solves per eigenvector
+_INVERSE_PASSES = 4
 
 
 class CholeskyError(Exception):
@@ -62,12 +68,8 @@ def cholesky_lower(B: np.ndarray) -> np.ndarray:
 def solve_lower_triangular(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Forward substitution L x = rhs; rhs may be a vector or a matrix."""
     X = np.array(rhs, dtype=float, copy=True)
-    if X.ndim == 1:
-        for i in range(L.shape[0]):
-            X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
-    else:
-        for i in range(L.shape[0]):
-            X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
+    for i in range(L.shape[0]):
+        X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
     return X
 
 
@@ -132,7 +134,7 @@ def apply_reflectors(reflectors: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) -> np.ndarray:
+def tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     Implicit-shift QL with the usual small-subdiagonal deflation test.
@@ -154,7 +156,7 @@ def tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, max_sweeps: int = 50) 
             if m == l:
                 break
             sweeps += 1
-            if sweeps > max_sweeps:
+            if sweeps > _QL_MAX_SWEEPS:
                 raise ConvergenceError(f"QL iteration stalled on eigenvalue {l}")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
@@ -223,7 +225,7 @@ def _solve_shifted_tridiagonal(d, e, shift, rhs):
     return sol
 
 
-def tridiagonal_eigenvector(d, e, lam, rng, orthogonal_to=(), passes: int = 4):
+def tridiagonal_eigenvector(d, e, lam, rng, orthogonal_to=()):
     """Unit eigenvector of the tridiagonal (d, e) for eigenvalue lam.
 
     Seeded inverse iteration; ``orthogonal_to`` lists unit vectors of an
@@ -231,7 +233,7 @@ def tridiagonal_eigenvector(d, e, lam, rng, orthogonal_to=(), passes: int = 4):
     """
     n = d.size
     z = rng.standard_normal(n)
-    for _ in range(passes):
+    for _ in range(_INVERSE_PASSES):
         for q in orthogonal_to:
             z -= float(q @ z) * q
         z = _solve_shifted_tridiagonal(d, e, lam, z)
@@ -248,7 +250,7 @@ def tridiagonal_eigenvector(d, e, lam, rng, orthogonal_to=(), passes: int = 4):
     return z / norm
 
 
-def solve_pencil(A, B, count=0, seed=201, residual_tol=1e-8):
+def solve_pencil(A, B, count=0, seed=201):
     """Eigenvalues of A x = lam B x, plus eigenvectors of the lowest few.
 
     Returns (values, vectors): all eigenvalues ascending, and an array of
@@ -256,7 +258,7 @@ def solve_pencil(A, B, count=0, seed=201, residual_tol=1e-8):
     ``count`` smallest eigenvalues (None when count is 0).  Each returned
     eigenvalue backing a vector is the Rayleigh quotient of that vector and
     must pass the relative residual test ||A x - lam B x|| <= tol ||A x||,
-    where tol is ``residual_tol`` widened, if necessary, to the smallest
+    where tol is ``_RESIDUAL_TOL`` widened, if necessary, to the smallest
     residual double-precision arithmetic can certify for this pencil
     (eps * || (|A| + lam |B|) |x| || / ||A x||, the rounding floor of the
     residual evaluation itself).
@@ -310,10 +312,10 @@ def solve_pencil(A, B, count=0, seed=201, residual_tol=1e-8):
             * float(np.linalg.norm((abs_A + abs(lam) * abs_B) @ np.abs(x)))
             / ax_norm
         )
-        if resid_rel > max(residual_tol, floor):
+        if resid_rel > max(_RESIDUAL_TOL, floor):
             raise ConvergenceError(
                 f"eigenpair {i} residual {resid_rel:.3e} exceeds "
-                f"{max(residual_tol, floor):.1e}"
+                f"{max(_RESIDUAL_TOL, floor):.1e}"
             )
         values[i] = lam
         vectors[:, i] = x

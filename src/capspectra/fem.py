@@ -12,9 +12,11 @@ Slope DOFs are scaled by the element size so value and slope coefficients
 stay comparable in magnitude.
 
 Both forms are built from one sampling of the shapes at the element Gauss
-points (``SectorSamples``), which the pencil keeps: ``rayleigh_quotient``
-evaluates a(g, g) / b(g, g) for a computed profile from those same samples
-as sums of squares, without the cancellation of x^T A x.
+points (``SectorSamples``), which the pencil keeps.  ``sample_profile``
+contracts a coefficient vector against those samples to give g, g' and
+L_l g on the grid; ``rayleigh_quotient`` takes a(g, g) / b(g, g) from them
+as sums of squares, without the cancellation of x^T A x, and the proof
+identities in ``prooflab`` integrate the same samples of the ground state.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "assemble_sector_forms",
     "free_dof_indices",
     "rayleigh_quotient",
+    "sample_profile",
     "interpolate_profile",
     "eval_radial_solution",
 ]
@@ -127,14 +130,16 @@ def free_dof_indices(m: int, l: int) -> list[int]:
 class SectorSamples:
     """Hermite shapes of one sector sampled at the element Gauss points.
 
-    G is the number of Gauss points per element.  ``value`` and ``slope``
-    hold the four shapes and their first derivatives on the reference
-    element (4 x G, the same on every element of a uniform mesh);
-    ``bending`` holds L_l applied to each shape (m x 4 x G); ``weight`` is
-    the radial weight times the scaled Gauss weight (m x G) and
-    ``membrane`` is that weight times l(l+n-2) s^2 (m x G).
+    G is the number of Gauss points per element.  ``theta`` holds the
+    Gauss points of every element (m x G).  ``value`` and ``slope`` hold
+    the four shapes and their first derivatives on the reference element
+    (4 x G, the same on every element of a uniform mesh); ``bending`` holds
+    L_l applied to each shape (m x 4 x G); ``weight`` is the radial weight
+    times the scaled Gauss weight (m x G) and ``membrane`` is that weight
+    times l(l+n-2) s^2 (m x G).
     """
 
+    theta: np.ndarray
     value: np.ndarray
     slope: np.ndarray
     bending: np.ndarray
@@ -188,7 +193,7 @@ def _sample_sector_shapes(domain: CapDomain, l: int, mesh: Mesh, quad_order: int
 
     # L_l applied to each shape at each Gauss point, shape (m, 4, G)
     Lphi = B2[None, :, :] + (n - 1) * c[:, None, :] * B1[None, :, :] - kappa * s2[:, None, :] * B0[None, :, :]
-    return SectorSamples(value=B0, slope=B1, bending=Lphi, weight=W, membrane=kappa * s2 * W)
+    return SectorSamples(theta=theta, value=B0, slope=B1, bending=Lphi, weight=W, membrane=kappa * s2 * W)
 
 
 def _element_dofs(m: int) -> np.ndarray:
@@ -251,21 +256,26 @@ def rayleigh_quotient(pencil: OperatorPencil, coeffs: np.ndarray) -> float:
     unit-disk ground state at m = 256).
     """
     full = expand_coefficients(pencil.mesh, np.asarray(coeffs, dtype=float), pencil.dof_map)
-    local = full[_element_dofs(pencil.mesh.num_elements)]  # (m, 4)
     samples = pencil.samples
-    Lg = np.einsum("eig,ei->eg", samples.bending, local)
-    g0 = local @ samples.value
-    g1 = local @ samples.slope
+    g0, g1, Lg = sample_profile(samples, full)
     num = float(np.sum(samples.weight * Lg**2))
     den = float(np.sum(samples.weight * g1**2 + samples.membrane * g0**2))
     return num / den
 
 
+def sample_profile(samples: SectorSamples, full: np.ndarray):
+    """(g, g', L_l g) on the Gauss grid of ``samples``, each m x G.
+
+    ``full`` is the full nodal (value, slope) vector of the profile g.
+    """
+    local = full[_element_dofs(samples.weight.shape[0])]  # (m, 4)
+    return local @ samples.value, local @ samples.slope, np.einsum("eig,ei->eg", samples.bending, local)
+
+
 def expand_coefficients(mesh: Mesh, coeffs: np.ndarray, dof_map) -> np.ndarray:
     """Scatter a free-DOF vector into the full nodal (value, slope) vector."""
     full = np.zeros(2 * (mesh.num_elements + 1))
-    for value, (node, kind) in zip(coeffs, dof_map):
-        full[2 * node + kind] = value
+    full[np.reshape(dof_map, (-1, 2)) @ (2, 1)] = coeffs
     return full
 
 

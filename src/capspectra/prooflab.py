@@ -16,10 +16,13 @@ reductions on the computed profile and reports each identity as a
 (computed, closed-form) pair, so a whole proof chain can be replayed
 numerically on an actual eigenfunction.
 
-Every quadrature here reuses the Gauss points of the solver mesh, element
-by element.  That matters: the orthogonality relation and the Schwarz
-inequality hold exactly for the discrete sums only when all the integrals
-are taken over the identical grid.
+Every quadrature here reuses the solver's own sampling of the radial
+sector (``fem._sample_sector_shapes``): the same Gauss grid, weights, and
+values of g, g' and the Laplacian that the eigenvalue was computed from.
+That matters: the orthogonality relation and the Schwarz inequality hold
+exactly for the discrete sums only when all the integrals are taken over
+the identical grid, and the Dirichlet quotient of the sampled ground state
+reproduces the reported eigenvalue to roundoff.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CapDomain, Geometry, gauss_legendre_rule, surface_area
+from .domain import CapDomain, Geometry, surface_area
 from .eigensolve import assemble_spectrum, solve_sector
-from .fem import Mesh, eval_radial_solution, expand_coefficients
+from .fem import Mesh, _sample_sector_shapes, expand_coefficients, sample_profile
 
 __all__ = [
     "IdentityReport",
@@ -58,10 +61,11 @@ class RadialEigenfunction:
     """Radial ground-state profile with cached quadrature samples.
 
     Holds the profile g of the lowest radial eigenfunction u_1 = g(theta)
-    together with everything the identity integrals keep reusing: the
-    element-aligned Gauss grid, the spherical volume weight, sin and cos
-    of the colatitude, the profile values g0, g1, g2 (g and its first two
-    derivatives), and the Laplacian samples lap = g'' + (n-1) cot(theta) g'.
+    together with everything the identity integrals keep reusing, taken
+    from the solver's radial-sector sampling: the element-aligned Gauss
+    grid, the spherical volume weight, sin and cos of the colatitude, the
+    profile values g0, g1 (g and g'), the Laplacian samples
+    lap = g'' + (n-1) cot(theta) g', and g2 = g'' recovered from them.
 
     Integrals over the cap evaluate as ``integrate(values)``, which applies
     the boundary-sphere area factor so the result is the full n-dimensional
@@ -71,8 +75,7 @@ class RadialEigenfunction:
     def __init__(self, domain: CapDomain, mesh: Mesh, lam1: float, coeffs, quad_order: int = 6):
         if domain.geometry is not Geometry.SPHERICAL:
             raise ValueError("radial proof quantities are defined on spherical caps")
-        if quad_order < 4:
-            raise ValueError(f"quad_order must be >= 4 (got {quad_order})")
+        samples = _sample_sector_shapes(domain, 0, mesh, quad_order)
         self.domain = domain
         self.mesh = mesh
         self.lam1 = float(lam1)
@@ -80,18 +83,12 @@ class RadialEigenfunction:
         self.quad_order = quad_order
         self.area = surface_area(domain.dim)
 
-        rule = gauss_legendre_rule(quad_order, 0.0, 1.0)
-        h = mesh.element_size
-        theta = (mesh.nodes[:-1, None] + h * rule.nodes[None, :]).ravel()
-        self.theta = theta
-        self.s = np.sin(theta)
-        self.c = np.cos(theta)
-        weight = self.s ** (domain.dim - 1)
-        self.mass = np.tile(h * rule.weights, mesh.num_elements) * weight
-        self.g0 = eval_radial_solution(mesh, self.coeffs, theta, 0)
-        self.g1 = eval_radial_solution(mesh, self.coeffs, theta, 1)
-        self.g2 = eval_radial_solution(mesh, self.coeffs, theta, 2)
-        self.lap = self.g2 + (domain.dim - 1) * (self.c / self.s) * self.g1
+        self.theta = samples.theta.ravel()
+        self.s = np.sin(self.theta)
+        self.c = np.cos(self.theta)
+        self.mass = samples.weight.ravel()
+        self.g0, self.g1, self.lap = (v.ravel() for v in sample_profile(samples, self.coeffs))
+        self.g2 = self.lap - (domain.dim - 1) * (self.c / self.s) * self.g1
 
     def integrate(self, values) -> float:
         """Integral over the cap of a radial integrand sampled on the grid."""
@@ -296,11 +293,9 @@ def identity_quadratic_sum(u1: RadialEigenfunction):
     (computed, closed_form) with the L2 norm taken by the same quadrature.
     """
     n = u1.domain.dim
-    lap_t = _laplacian_tangential(u1)
-    lap_p_raw = -n * u1.c * u1.g0 - 2.0 * u1.s * u1.g1 + u1.c * u1.lap
     computed = u1.lam1 * (
-        u1.integrate(u1.s * u1.g0 * (lap_t + u1.s * (-u1.lap)))
-        + u1.integrate(u1.c * u1.g0 * (lap_p_raw + u1.c * (-u1.lap)))
+        u1.integrate(u1.s * u1.g0 * (_laplacian_tangential(u1) + u1.s * (-u1.lap)))
+        + u1.integrate(u1.c * u1.g0 * (_laplacian_polar(u1, 0.0) + u1.c * (-u1.lap)))
     )
     closed = -n * u1.lam1 * u1.integrate(u1.g0**2)
     return computed, closed

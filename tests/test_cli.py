@@ -184,6 +184,17 @@ def test_rejected_configurations_exit_two(argv, fragment):
     assert out == ""
 
 
+def test_solver_failure_exits_three():
+    # one sector cannot certify four eigenvalues of the disk: the merge
+    # refuses the truncation, and the CLI reports it instead of raising
+    rc, out, err = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1",
+                        "--elements", "32", "--l-max", "0", "--num-eigs", "4")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "raise l_max" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two():
     rc, _, _ = _run("polish")
     assert rc == 2

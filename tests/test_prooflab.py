@@ -220,6 +220,15 @@ def test_ground_state_normalization_and_ordering():
     assert lam2 == pytest.approx(spectrum.values()[1], rel=1e-13)
 
 
+@pytest.mark.parametrize("n,aperture", [(2, 1.0), (3, 1.5), (4, 2.5), (5, 0.7)])
+def test_ground_state_samples_are_the_solver_samples(n, aperture):
+    # the identities integrate the solver's own samples of g' and the
+    # Laplacian, so the Dirichlet quotient of u_1 is its reported eigenvalue
+    u1, _ = prooflab.ground_state(cs.make_cap("spherical", n, aperture), m=128)
+    quotient = u1.integrate(u1.lap**2) / u1.integrate(u1.g1**2)
+    assert abs(quotient - u1.lam1) <= 1e-15 * u1.lam1
+
+
 def test_ground_state_rejects_flat_domains():
     with pytest.raises(ValueError, match="requires a spherical cap"):
         prooflab.ground_state(cs.make_cap("flat", 2, 1.0), m=32)
