@@ -138,12 +138,14 @@ def tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     Implicit-shift QL with the usual small-subdiagonal deflation test.
+    The sweeps run on Python lists: the same double arithmetic as on numpy
+    scalars, three to four times faster per element.
     """
-    d = np.asarray(d, dtype=float).copy()
-    n = d.size
+    d = np.asarray(d, dtype=float).tolist()
+    n = len(d)
     if n == 1:
-        return d
-    e = np.concatenate([np.asarray(e, dtype=float), [0.0]])
+        return np.array(d)
+    e = np.asarray(e, dtype=float).tolist() + [0.0]
     for l in range(n):
         sweeps = 0
         while True:
@@ -184,7 +186,7 @@ def tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return np.sort(d)
+    return np.sort(np.array(d))
 
 
 def _solve_shifted_tridiagonal(d, e, shift, rhs):
