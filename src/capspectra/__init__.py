@@ -6,8 +6,12 @@ A small numerical laboratory for the clamped buckling eigenvalue problem
 
 where Omega is a geodesic cap on the unit n-sphere or a ball in R^n.
 Separation into harmonic sectors reduces each problem to a radial
-fourth-order pencil, discretised with C^1 Hermite cubics and solved with a
-dense symmetric-definite eigensolver.  On top of the spectra the package
+fourth-order pencil with half-bandwidth 3, discretised with C^1 Hermite
+cubics.  A banded solver brackets its lowest eigenvalues by LDL^T inertia
+counts (Sylvester's law) and multisection, which certify each eigenvalue's
+index, and finds the eigenvectors by inverse iteration with a banded LU.
+Exact oracles check the pipeline: squared Bessel zeros on flat disks and a
+hypergeometric Wronskian on spherical caps.  On top of the spectra the package
 evaluates a family of eigenvalue inequalities and reconstructs, by
 quadrature, the variational identities behind the second-eigenvalue gap
 bound for spherical caps.
@@ -35,6 +39,7 @@ from .eigensolve import (
     assemble_spectrum,
     bessel_j,
     bessel_zero,
+    cap_eigenvalue,
     solve_pencil,
     solve_sector,
     solve_spectrum,

@@ -1,4 +1,4 @@
-"""Per-sector eigenpair solves, global spectrum assembly, and a Bessel oracle.
+"""Per-sector eigenpair solves, global spectrum assembly, and exact oracles.
 
 The sector solve normalizes eigenfunctions by the full-domain gradient
 integral, i.e. |S^{n-1}| times the membrane quadratic form equals one,
@@ -8,7 +8,8 @@ The Bessel-zero routine is an independent check on the whole FEM pipeline
 for flat disks: the sector-l eigenvalues of the clamped buckling problem on
 the unit disk are the squared zeros of J_{l+1}, and the zeros here come
 from series/recurrence evaluation plus bisection, sharing no code with the
-finite-element path.
+finite-element path.  ``cap_eigenvalue`` is the same kind of check for
+spherical caps: the root of a Wronskian of two hypergeometric series.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "solve_spectrum",
     "bessel_j",
     "bessel_zero",
+    "cap_eigenvalue",
 ]
 
 
@@ -291,3 +293,99 @@ def bessel_zero(order: int, index: int) -> float:
                 return 0.5 * (lo + hi)
         x_prev, f_prev = x, f
     raise ValueError(f"no bracket for zero {index} of J_{order} within the scan range")
+
+
+# ---------------------------------------------------------------------------
+# Spherical-cap oracle
+# ---------------------------------------------------------------------------
+
+
+def _hyp2f1(a: float, b: float, c: float, x: float) -> float:
+    """Gauss series 2F1(a, b; c; x) for 0 <= x < 1 and c > 0.
+
+    The sum stops once a term falls below 1e-17 of the total, but not
+    before the factor a + k has passed zero (a near-zero a + k makes one
+    term small without ending the series), unless the terms have
+    underflowed to zero.
+    """
+    k_min = max(0, math.ceil(-a)) + 1
+    term = 1.0
+    total = 1.0
+    k = 0
+    while term != 0.0 and (k < k_min or abs(term) > 1e-17 * abs(total)):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+        total += term
+        k += 1
+        if k > 1_000_000:
+            raise ValueError(f"2F1 series did not converge at x = {x}")
+    return total
+
+
+def cap_eigenvalue(dim: int, l: int, aperture: float, k: int) -> float:
+    """k-th clamped buckling eigenvalue of sector l on a cap of the unit dim-sphere.
+
+    In sector l every eigenfunction solves Delta (Delta + lam) u = 0, so
+    u = a h + c phi, with h the sector-l harmonic and phi the sector-l
+    eigenfunction of -Delta for nu (nu + dim - 1) = lam, both regular at
+    the pole:
+
+        sin^l t * 2F1(l - nu, l + nu + dim - 1; l + dim/2; sin^2(t/2)),
+
+    with nu = 0 for h.  The clamped conditions at t = aperture leave the
+    Wronskian h phi' - h' phi = 0; with the common factor sin^l t taken
+    out it is F_h dF_phi/dx - dF_h/dx F_phi at x = sin^2(aperture/2).
+    nu = 0 is the trivial root.  A sign scan in nu in steps of
+    pi / (16 aperture), followed by bisection, gives the k-th positive
+    root.  The series converge for every aperture below pi; nothing here
+    is shared with the finite-element path.
+    """
+    if not isinstance(dim, int) or dim < 2:
+        raise ValueError(f"dim must be an integer >= 2 (got {dim})")
+    if l < 0:
+        raise ValueError(f"sector degree must be >= 0 (got {l})")
+    if not 0.0 < aperture < math.pi:
+        raise ValueError(f"aperture must lie in (0, pi) (got {aperture})")
+    if k < 1:
+        raise ValueError(f"k must be >= 1 (got {k})")
+    x = math.sin(0.5 * aperture) ** 2
+    c = l + 0.5 * dim
+
+    def value_and_slope(nu):
+        a, b = l - nu, l + nu + dim - 1
+        return _hyp2f1(a, b, c, x), a * b / c * _hyp2f1(a + 1, b + 1, c + 1, x)
+
+    f_h, df_h = value_and_slope(0.0)
+
+    def wronskian(nu):
+        f_phi, df_phi = value_and_slope(nu)
+        return f_h * df_phi - df_h * f_phi
+
+    step = math.pi / (16.0 * aperture)
+    lo, w_lo = step, wronskian(step)
+    found = 0
+    while True:
+        hi = lo + step
+        w_hi = wronskian(hi)
+        if w_lo == 0.0 or w_lo * w_hi < 0.0:
+            found += 1
+            if found == k:
+                break
+        lo, w_lo = hi, w_hi
+        if lo > 1e8:
+            raise ValueError(f"no bracket for eigenvalue {k} of sector {l} within the scan range")
+    if w_lo == 0.0:
+        hi = lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        w_mid = wronskian(mid)
+        if w_mid == 0.0:
+            lo = hi = mid
+            break
+        if (w_mid < 0.0) == (w_lo < 0.0):
+            lo, w_lo = mid, w_mid
+        else:
+            hi = mid
+    nu = 0.5 * (lo + hi)
+    return nu * (nu + dim - 1)

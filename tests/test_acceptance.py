@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten shipping criteria, one printed line each.
+"""Acceptance gate: the eleven shipping criteria, one printed line each.
 
 Every test prints ``criterion NN: PASS/FAIL (detail)`` before asserting so a
 full run leaves a scannable scoreboard in the captured output.
@@ -149,3 +149,20 @@ def test_criterion_10_closed_form_spot_values():
     ]
     ok = max(errs) <= 1e-12
     _verdict(10, ok, f"max spot-value error {max(errs):.2e}")
+
+
+def test_criterion_11_cap_convergence_order():
+    # Hermite cubics converge at O(h^4) on caps too, measured against the
+    # hypergeometric oracle over dimensions, sectors and apertures
+    cases = [
+        (2, 0, 1.0), (2, 1, 2.8), (3, 2, 1.5), (3, 0, 2.8),
+        (4, 0, 1.0), (4, 3, 0.5), (5, 1, 2.0), (5, 6, 2.8),
+    ]
+    orders = []
+    for dim, l, aperture in cases:
+        cap = cs.make_cap("spherical", dim, aperture)
+        exact = cs.cap_eigenvalue(dim, l, aperture, 1)
+        errs = [abs(cs.solve_sector(cap, l, m=m, count=1)[0].value - exact) for m in (32, 64, 128)]
+        orders += [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    ok = min(orders) >= 3.5
+    _verdict(11, ok, f"observed orders {min(orders):.2f} to {max(orders):.2f} on {len(cases)} caps, n = 2..5")

@@ -24,9 +24,9 @@ def test_solve_pencil_matches_reference_solver(size):
     count = min(size, 9)
     values, vectors = cs.solve_pencil(A, B, count=count)
     ref = sla.eigh(A, B, eigvals_only=True)
-    # the full ascending eigenvalue list comes back, vectors only for the head
-    assert values.shape == (size,)
-    assert np.allclose(values, ref, rtol=1e-9, atol=1e-11)
+    # the lowest count eigenvalues come back ascending, each with its vector
+    assert values.shape == (count,)
+    assert np.allclose(values, ref[:count], rtol=1e-9, atol=1e-11)
     # vectors are B-orthonormal and satisfy the pencil equation
     gram = vectors.T @ B @ vectors
     assert np.allclose(gram, np.eye(count), atol=1e-8)
@@ -44,9 +44,9 @@ def test_solve_pencil_full_set_and_determinism():
     assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
     assert len(v1) == 12 and w1.shape == (12, 12)
     assert np.all(np.diff(v1) >= 0)
-    # values-only mode skips the vector stage entirely
-    v3, w3 = cs.solve_pencil(A, B)
-    assert w3 is None and np.allclose(v3, v1, rtol=1e-10)
+    # there is no values-only mode: every call returns vectors
+    with pytest.raises(ValueError):
+        cs.solve_pencil(A, B, count=0)
 
 
 def test_solve_pencil_handles_clustered_eigenvalues():
@@ -67,6 +67,90 @@ def test_solve_pencil_rejects_non_spd_b():
     B = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(_linalg.CholeskyError):
         cs.solve_pencil(A, B, count=1)
+
+
+def _sector_pencil(geometry, dim, aperture, l, m):
+    domain = cs.make_cap(geometry, dim, aperture)
+    return cs.assemble_sector_forms(domain, l, cs.build_mesh(domain, m))
+
+
+@pytest.mark.parametrize("geometry,aperture", [("flat", 1.0), ("spherical", 0.5), ("spherical", 2.5)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_inertia_counts_match_dense_counts(geometry, aperture, dim):
+    # Sylvester counts at lam_i (1 -+ 1e-6) are exactly i and i + 1
+    for l in range(7):
+        pencil = _sector_pencil(geometry, dim, aperture, l, 24)
+        ref = sla.eigh(pencil.A, pencil.B, eigvals_only=True)
+        shifts = np.concatenate([ref[:6] * (1.0 - 1e-6), ref[:6] * (1.0 + 1e-6)])
+        a, b = _linalg.pencil_bands(pencil.A, pencil.B)
+        assert a.shape[0] == 4  # half-bandwidth 3
+        counts = _linalg.inertia_counts(a, b, shifts)
+        assert np.array_equal(counts, np.searchsorted(ref, shifts))
+        assert np.array_equal(counts, np.concatenate([np.arange(6), np.arange(1, 7)]))
+
+
+@pytest.mark.parametrize(
+    "geometry,dim,aperture,l,m",
+    [("flat", 2, 1.0, 0, 512), ("spherical", 5, 2.0, 6, 512), ("spherical", 3, 1.0, 1, 256)],
+)
+def test_inertia_counts_match_dense_counts_on_fine_meshes(geometry, dim, aperture, l, m):
+    pencil = _sector_pencil(geometry, dim, aperture, l, m)
+    ref = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, 6])
+    shifts = np.concatenate([ref[:6] * (1.0 - 1e-6), ref[:6] * (1.0 + 1e-6)])
+    counts = _linalg.inertia_counts(*_linalg.pencil_bands(pencil.A, pencil.B), shifts)
+    assert np.array_equal(counts, np.searchsorted(ref, shifts))
+
+
+@pytest.mark.parametrize(
+    "geometry,dim,aperture,l,count",
+    [
+        ("flat", 2, 1.0, 0, 6),
+        ("flat", 4, 0.7, 3, 2),
+        ("spherical", 2, 3.0, 0, 6),
+        ("spherical", 5, 0.5, 6, 4),
+    ],
+)
+def test_solve_pencil_head_matches_dense_subset(geometry, dim, aperture, l, count):
+    pencil = _sector_pencil(geometry, dim, aperture, l, 48)
+    A, B = pencil.A, pencil.B
+    values, vectors = cs.solve_pencil(A, B, count=count)
+    ref = sla.eigh(A, B, eigvals_only=True, subset_by_index=[0, count - 1])
+    assert np.allclose(values, ref, rtol=1e-10, atol=0.0)
+    assert np.allclose(vectors.T @ B @ vectors, np.eye(count), atol=1e-10)
+
+
+def test_solve_pencil_repeat_calls_are_bit_identical():
+    pencil = _sector_pencil("spherical", 3, 1.5, 2, 64)
+    v1, w1 = cs.solve_pencil(pencil.A, pencil.B, count=6, seed=9)
+    v2, w2 = cs.solve_pencil(pencil.A, pencil.B, count=6, seed=9)
+    assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
+
+
+def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
+    # a count that falls as the shift rises cannot come from a definite pencil
+    real = _linalg.inertia_counts
+    monkeypatch.setattr(_linalg, "inertia_counts", lambda a, b, shifts: real(a, b, shifts)[::-1])
+    pencil = _sector_pencil("flat", 2, 1.0, 0, 16)
+    with pytest.raises(_linalg.ConvergenceError, match="monotone"):
+        cs.solve_pencil(pencil.A, pencil.B, count=3)
+
+
+def test_solve_pencil_rejects_value_outside_its_bracket(monkeypatch):
+    # with the brackets shrunk by 1% on either side, no value can lie in its own
+    monkeypatch.setattr(_linalg, "_BRACKET_SLACK", -1e-2)
+    pencil = _sector_pencil("flat", 2, 1.0, 0, 16)
+    with pytest.raises(_linalg.ConvergenceError, match="bracket"):
+        cs.solve_pencil(pencil.A, pencil.B, count=3)
+
+
+def test_returned_values_lie_inside_their_count_brackets():
+    pencil = _sector_pencil("spherical", 4, 2.0, 1, 128)
+    values, _ = cs.solve_pencil(pencil.A, pencil.B, count=6)
+    bands = _linalg.pencil_bands(pencil.A, pencil.B)
+    slack = _linalg._BRACKET_SLACK
+    below = _linalg.inertia_counts(*bands, values * (1.0 - slack))
+    above = _linalg.inertia_counts(*bands, values * (1.0 + slack))
+    assert np.array_equal(below, np.arange(6)) and np.array_equal(above, np.arange(1, 7))
 
 
 def test_cholesky_and_triangular_solves():
@@ -120,6 +204,60 @@ def test_bessel_zero_input_validation():
         cs.bessel_zero(0, 0)
     with pytest.raises(ValueError):
         cs.bessel_zero(-1, 1)
+
+
+def _s3_cap_eigenvalue(aperture, k):
+    """k-th radial eigenvalue of a cap on the 3-sphere, from its closed form.
+
+    With u = v / sin t the radial equation is (D^2 + 1)(D^2 + 1 + lam) v = 0;
+    the clamped solutions give mu cos(mu R) sin R = sin(mu R) cos R with
+    lam = mu^2 - 1, mu = 1 being the trivial root.
+    """
+
+    def f(mu):
+        return mu * np.cos(mu * aperture) * np.sin(aperture) - np.sin(mu * aperture) * np.cos(aperture)
+
+    grid = 1.0 + np.arange(1, 40000) * (0.002 / aperture)
+    signs = np.nonzero(np.sign(f(grid[:-1])) != np.sign(f(grid[1:])))[0]
+    lo, hi = grid[signs[k - 1]], grid[signs[k - 1] + 1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == (f(lo) < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    return mu * mu - 1.0
+
+
+@pytest.mark.parametrize("aperture", [0.5, 1.0, 2.5])
+def test_cap_eigenvalue_matches_s3_closed_form(aperture):
+    for k in (1, 2):
+        want = _s3_cap_eigenvalue(aperture, k)
+        assert cs.cap_eigenvalue(3, 0, aperture, k) == pytest.approx(want, rel=1e-13)
+
+
+def test_cap_eigenvalue_flat_limit():
+    # as the cap shrinks, lam R^2 tends to the clamped-disk value j_{l+1,1}^2;
+    # the curvature correction is O(R^2), 1.6e-10 relative for l = 2 here
+    radius = 1e-4
+    for l in range(3):
+        scaled = cs.cap_eigenvalue(2, l, radius, 1) * radius**2
+        assert scaled == pytest.approx(cs.bessel_zero(l + 1, 1) ** 2, rel=1e-9)
+
+
+def test_cap_eigenvalue_input_validation():
+    for args in ((1, 0, 1.0, 1), (2, -1, 1.0, 1), (2, 0, 3.2, 1), (2, 0, 0.0, 1), (2, 0, 1.0, 0)):
+        with pytest.raises(ValueError):
+            cs.cap_eigenvalue(*args)
+
+
+@pytest.mark.parametrize("dim,l,aperture", [(2, 0, 1.0), (3, 2, 1.5), (5, 1, 2.0)])
+def test_banded_solver_matches_cap_oracle_at_m512(dim, l, aperture):
+    cap = cs.make_cap("spherical", dim, aperture)
+    pairs = cs.solve_sector(cap, l, m=512, count=2)
+    for k, pair in enumerate(pairs, start=1):
+        assert pair.value == pytest.approx(cs.cap_eigenvalue(dim, l, aperture, k), rel=1e-10)
 
 
 def test_disk_sectors_match_bessel_squares():
