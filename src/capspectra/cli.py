@@ -7,14 +7,16 @@ same invocation always produces byte-identical output.
 Exit codes: 0 on success, 1 when a checked inequality is violated (a
 bound fails on the computed spectrum, a sweep row breaks monotonicity or
 the lower bound on the first eigenvalue, or an identity check does not
-pass), 2 on configuration or usage errors, 3 when the solver cannot
-deliver the requested spectrum (truncated sectors, a pencil that is not
-definite, or an iteration that does not converge).
+pass), 2 on configuration or usage errors (an output file that cannot be
+opened included), 3 when the solver cannot deliver the requested spectrum
+(truncated sectors, a pencil that is not definite, or an iteration that
+does not converge).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -247,6 +249,8 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError("sweep aperture must be start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"sweep bounds must be finite (got {text})")
     if step <= 0.0:
         raise ValueError(f"sweep step must be positive (got {step})")
     points = []
@@ -299,10 +303,15 @@ def main(argv=None, out=None, err=None) -> int:
     handlers = {"solve": cmd_solve, "sweep": cmd_sweep, "identities": cmd_identities}
     try:
         config = _config_from_args(args)
-        if config.output is not None:
-            with open(config.output, "w", encoding="utf-8") as sink:
-                return handlers[config.subcommand](config, sink)
-        return handlers[config.subcommand](config, out)
+        if config.output is None:
+            return handlers[config.subcommand](config, out)
+        try:
+            sink = open(config.output, "w", encoding="utf-8")
+        except OSError as exc:
+            err.write(f"error: cannot write {config.output}: {exc.strerror}\n")
+            return 2
+        with sink:
+            return handlers[config.subcommand](config, sink)
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 2

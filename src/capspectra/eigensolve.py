@@ -3,6 +3,8 @@
 The sector solve normalizes eigenfunctions by the full-domain gradient
 integral, i.e. |S^{n-1}| times the membrane quadratic form equals one,
 matching the convention the downstream integral identities assume.
+The merged spectrum solves only the sectors that can reach its head: an
+inertia count at the head's last value certifies each sector it skips.
 
 The Bessel-zero routine is an independent check on the whole FEM pipeline
 for flat disks: the sector-l eigenvalues of the clamped buckling problem on
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import solve_pencil
+from ._linalg import _BRACKET_SLACK, inertia_counts, pencil_bands, solve_pencil
 from .domain import CapDomain, SectorIndex, harmonic_multiplicity, surface_area
-from .fem import Mesh, assemble_sector_forms, build_mesh, rayleigh_quotient
+from .fem import Mesh, OperatorPencil, assemble_sector_forms, build_mesh, rayleigh_quotient
 
 __all__ = [
     "Eigenpair",
@@ -86,25 +88,14 @@ class Spectrum:
         return self.entries[0].l
 
 
-def solve_sector(
-    domain: CapDomain,
-    l: int,
-    m: int = 128,
-    quad_order: int = 6,
-    count: int = 6,
-) -> list[Eigenpair]:
-    """The count smallest eigenpairs of sector l, gradient-normalized.
+def _sector_pairs(pencil: OperatorPencil, mesh: Mesh, domain: CapDomain, count: int) -> list[Eigenpair]:
+    """The count smallest eigenpairs of an assembled sector pencil, gradient-normalized.
 
     Inverse iteration inside the pencil solve starts from the fixed seed
     2718 + l, so every sector's vectors are reproducible.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1 (got {count})")
-    mesh = build_mesh(domain, m)
-    pencil = assemble_sector_forms(domain, l, mesh, quad_order)
-    ndof = pencil.A.shape[0]
-    k = min(count, ndof)
-    _, vectors = solve_pencil(pencil.A, pencil.B, count=k, seed=2718 + l)
+    k = min(count, pencil.A.shape[0])
+    _, vectors = solve_pencil(pencil.A, pencil.B, count=k, seed=2718 + pencil.sector.l)
     area = surface_area(domain.dim)
     pairs = []
     for i in range(k):
@@ -123,6 +114,20 @@ def solve_sector(
     return pairs
 
 
+def solve_sector(
+    domain: CapDomain,
+    l: int,
+    m: int = 128,
+    quad_order: int = 6,
+    count: int = 6,
+) -> list[Eigenpair]:
+    """The count smallest eigenpairs of sector l, gradient-normalized."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1 (got {count})")
+    mesh = build_mesh(domain, m)
+    return _sector_pairs(assemble_sector_forms(domain, l, mesh, quad_order), mesh, domain, count)
+
+
 def _entry_value(item) -> float:
     if isinstance(item, Eigenpair):
         return item.value
@@ -135,11 +140,14 @@ def assemble_spectrum(sector_results, count: int | None = None, dim: int | None 
     Each sector value is replicated by its harmonic multiplicity; ties sort
     by sector degree, then copy index.  With a requested ``count``, the
     count-th value must not exceed the smallest computed eigenvalue of the
-    highest solved sector, otherwise values of unsolved sectors could be
-    missing from the head of the list and a TruncationError is raised.
+    highest sector, otherwise values of unsolved sectors could be missing
+    from the head of the list and a TruncationError is raised.
 
     sector_results maps l to a list of Eigenpair (or plain numbers, in
-    which case ``dim`` must be given).
+    which case ``dim`` must be given).  An empty list stands for a sector
+    certified to hold no eigenvalue below the head, as ``solve_spectrum``
+    returns for the sectors it skips; an empty highest sector therefore
+    passes the check.
     """
     if not sector_results:
         raise ValueError("no sector results given")
@@ -172,9 +180,7 @@ def assemble_spectrum(sector_results, count: int | None = None, dim: int | None 
             raise TruncationError(f"requested {count} eigenvalues, computed only {len(raw)}")
         l_top = max(sector_results.keys())
         top_vals = [_entry_value(p) for p in sector_results[l_top]]
-        if not top_vals:
-            raise TruncationError(f"sector {l_top} holds no eigenvalues")
-        if raw[count - 1].value > min(top_vals):
+        if top_vals and raw[count - 1].value > min(top_vals):
             raise TruncationError(
                 f"spectrum truncated at sector {l_top}: raise l_max (value "
                 f"{raw[count - 1].value:.6g} exceeds that sector's smallest "
@@ -184,6 +190,23 @@ def assemble_spectrum(sector_results, count: int | None = None, dim: int | None 
     return Spectrum(entries=tuple(raw), dim=dim, domain=domain)
 
 
+def _pairs_below(
+    domain: CapDomain, l: int, mesh: Mesh, quad_order: int, count: int, tau: float | None
+) -> list[Eigenpair]:
+    """Sector l's count smallest eigenpairs, or [] if its pencil has none below tau.
+
+    The inertia count is taken at tau (1 + ``_BRACKET_SLACK``); tau None
+    solves the sector unconditionally.  The dense pencil lives only here,
+    so no two sectors' pencils are held at once.
+    """
+    pencil = assemble_sector_forms(domain, l, mesh, quad_order)
+    if tau is not None:
+        shift = tau + _BRACKET_SLACK * abs(tau)
+        if inertia_counts(*pencil_bands(pencil.A, pencil.B), [shift])[0] == 0:
+            return []
+    return _sector_pairs(pencil, mesh, domain, count)
+
+
 def solve_spectrum(
     domain: CapDomain,
     m: int = 128,
@@ -191,10 +214,33 @@ def solve_spectrum(
     l_max: int = 6,
     count: int = 6,
 ):
-    """Solve sectors 0..l_max and merge; returns (Spectrum, sector dict)."""
+    """The lowest ``count`` merged eigenvalues of sectors 0..l_max; returns (Spectrum, sector dict).
+
+    Sectors are taken in order of l and each pencil is assembled once.
+    Once the values gathered so far (with multiplicities) number at least
+    ``count``, let tau be the count-th smallest of them.  An LDL^T inertia
+    count (Sylvester's law) then says how many of a sector's pencil
+    eigenvalues lie below tau (1 + ``_BRACKET_SLACK``).  When none do, the
+    sector cannot reach the head: its values would all sort after tau,
+    which only falls as more sectors are solved, and the slack covers the
+    gap between a pencil eigenvalue and its quadrature Rayleigh quotient.
+    Such a sector is not solved and maps to an empty list in the sector
+    dict.  Every other sector is solved as ``solve_sector`` solves it, so
+    the head is the one a solve of every sector would give, and a
+    TruncationError is raised in the same cases.
+    """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0 (got {l_max})")
-    sectors = {l: solve_sector(domain, l, m, quad_order, count=count) for l in range(l_max + 1)}
+    if count < 1:
+        raise ValueError(f"count must be >= 1 (got {count})")
+    mesh = build_mesh(domain, m)
+    sectors = {}
+    head: list[float] = []  # the count smallest values so far, one per copy
+    for l in range(l_max + 1):
+        tau = head[-1] if len(head) == count else None
+        sectors[l] = pairs = _pairs_below(domain, l, mesh, quad_order, count, tau)
+        mult = harmonic_multiplicity(domain.dim, l)
+        head = sorted(head + [p.value for p in pairs for _ in range(mult)])[:count]
     return assemble_spectrum(sectors, count=count), sectors
 
 

@@ -151,6 +151,16 @@ def test_output_flag_writes_file(tmp_path):
     assert set(doc) == {"meta", "spectrum", "bounds"}
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unopenable_output_exits_two(tmp_path, where):
+    target = tmp_path / "absent" / "run.json" if where == "missing_dir" else tmp_path
+    rc, out, err = _run(*SOLVE_ARGS, "--output", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_version_flag(capsys):
     # argparse's version action prints to the process stdout before exiting
     rc, out, _ = _run("--version")
@@ -175,6 +185,15 @@ def test_version_flag(capsys):
          "num_eigs must be >= 2"),
         (("sweep", "--geometry", "flat", "--dim", "2", "--aperture", "0.5:1.0:0.5"),
          "sweep requires spherical geometry"),
+        # a non-finite bound would leave the point list growing forever
+        (("sweep", "--geometry", "spherical", "--dim", "2", "--aperture", "0.5:nan:0.5"),
+         "sweep bounds must be finite"),
+        (("sweep", "--geometry", "spherical", "--dim", "2", "--aperture", "0.5:inf:0.5"),
+         "sweep bounds must be finite"),
+        (("sweep", "--geometry", "spherical", "--dim", "2", "--aperture=-inf:1.0:0.5"),
+         "sweep bounds must be finite"),
+        (("sweep", "--geometry", "spherical", "--dim", "2", "--aperture", "0.5:1.0:nan"),
+         "sweep bounds must be finite"),
     ],
 )
 def test_rejected_configurations_exit_two(argv, fragment):

@@ -1,7 +1,11 @@
 """Eigensolver, Bessel oracle, and spectrum merging."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import special
 
@@ -258,6 +262,69 @@ def test_banded_solver_matches_cap_oracle_at_m512(dim, l, aperture):
     pairs = cs.solve_sector(cap, l, m=512, count=2)
     for k, pair in enumerate(pairs, start=1):
         assert pair.value == pytest.approx(cs.cap_eigenvalue(dim, l, aperture, k), rel=1e-10)
+
+
+@pytest.mark.parametrize("aperture", [0.5, 1.5, 2.8])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_merged_cap_spectrum_matches_oracle(dim, aperture):
+    # The m=128 discretization error stays below 1e-8 up to R = 1.5; at
+    # R = 2.8 it reaches 1.3e-6 (n = 5, l = 1) and falls 16x per halving of h.
+    rel = 1e-8 if aperture < 2.0 else 2e-6
+    l_max = 3
+    cap = cs.make_cap("spherical", dim, aperture)
+    spectrum, _ = cs.solve_spectrum(cap, m=128, l_max=l_max, count=6)
+    oracle = functools.lru_cache(maxsize=None)(lambda l, k: cs.cap_eigenvalue(dim, l, aperture, k))
+    # each entry is the next value of its sector ...
+    taken = dict.fromkeys(range(l_max + 1), 0)
+    for e in spectrum.entries:
+        if e.copy_index == 1:
+            taken[e.l] += 1
+        assert e.value == pytest.approx(oracle(e.l, taken[e.l]), rel=rel)
+    # ... and no sector holds a value below the head's last that it left out
+    tau = spectrum.entries[-1].value
+    for l, k in taken.items():
+        assert oracle(l, k + 1) >= tau * (1.0 - rel)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    geometry=st.sampled_from(["spherical", "flat"]),
+    dim=st.integers(2, 5),
+    aperture=st.floats(0.2, 3.0),
+    m=st.sampled_from([16, 24, 32]),
+    l_max=st.integers(0, 6),
+    count=st.integers(1, 10),
+)
+# near ties found by a scan over apertures: sector 2's lowest value sits
+# 0.08% below the tau of sectors 0 and 1; sector 3's sits 0.15% above tau
+@example(geometry="spherical", dim=5, aperture=2.9, m=16, l_max=3, count=7)
+@example(geometry="spherical", dim=2, aperture=2.1, m=16, l_max=4, count=8)
+def test_solve_spectrum_skip_is_exact(geometry, dim, aperture, m, l_max, count):
+    # solve_spectrum against a solve of every sector: the same head, bit for
+    # bit, or the same TruncationError
+    domain = cs.make_cap(geometry, dim, aperture)
+    every = {l: cs.solve_sector(domain, l, m=m, count=count) for l in range(l_max + 1)}
+    try:
+        want = cs.assemble_spectrum(every, count=count).entries
+    except cs.TruncationError as exc:
+        want = str(exc)
+    try:
+        spectrum, sectors = cs.solve_spectrum(domain, m=m, l_max=l_max, count=count)
+    except cs.TruncationError as exc:
+        assert str(exc) == want
+        return
+    assert spectrum.entries == want
+    # solved sectors are solve_sector's; a skipped one has nothing below tau
+    assert sorted(sectors) == list(range(l_max + 1))
+    tau = spectrum.entries[-1].value
+    mesh = cs.build_mesh(domain, m)
+    for l, pairs in sectors.items():
+        if pairs:
+            assert [p.value for p in pairs] == [p.value for p in every[l]]
+            continue
+        pencil = cs.assemble_sector_forms(domain, l, mesh)
+        lowest = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert lowest >= tau
 
 
 def test_disk_sectors_match_bessel_squares():
