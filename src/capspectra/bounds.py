@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import Geometry
 
 __all__ = [
@@ -155,6 +157,23 @@ def _gap_cd(delta, lam1, dim):
     return c, d
 
 
+#: the log-spaced delta grid 10^(k/400), k = -2400..800, that brackets the
+#: minimum in ``wang_xia_implied_gap``; built from the Python power, since
+#: np.power differs from it in the last bit
+_GAP_GRID = np.array([10.0 ** (k / 400.0) for k in range(-2400, 801)])
+
+
+def _gap_scan(lam1, dim):
+    """The gap quotient d / (2 - c) at every point of ``_GAP_GRID``, inf where c >= 2.
+
+    Elementwise the same floating-point operations as the scalar quotient
+    in ``wang_xia_implied_gap``, so each entry equals it bit for bit.
+    """
+    c, d = _gap_cd(_GAP_GRID, lam1, dim)
+    with np.errstate(divide="ignore"):
+        return np.where(c >= 2.0, math.inf, d / (2.0 - c))
+
+
 def wang_xia_implied_gap(lam1, dim):
     """Best gap bound implied by the delta-family of quadratic inequalities.
 
@@ -180,12 +199,12 @@ def wang_xia_implied_gap(lam1, dim):
 
     # The feasible set is an interval (0, delta_max); c is increasing in
     # delta, so scan a log-spaced grid to bracket the minimum.
-    grid = [10.0 ** (k / 400.0) for k in range(-2400, 801)]
-    best_i = min(range(len(grid)), key=lambda i: quotient(grid[i]))
-    if quotient(grid[best_i]) is math.inf:
+    scan = _gap_scan(lam1, dim)
+    best_i = int(np.argmin(scan))
+    if scan[best_i] == math.inf:
         return math.inf
-    lo = grid[max(best_i - 1, 0)]
-    hi = grid[min(best_i + 1, len(grid) - 1)]
+    lo = float(_GAP_GRID[max(best_i - 1, 0)])
+    hi = float(_GAP_GRID[min(best_i + 1, len(_GAP_GRID) - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)

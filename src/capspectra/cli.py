@@ -28,6 +28,8 @@ from .eigensolve import TruncationError, solve_spectrum
 from .prooflab import run_identity_suite
 
 _MONOTONE_TOL = 1e-8
+#: most aperture points a sweep may hold; each point is one merged solve
+_MAX_SWEEP_POINTS = 1000
 #: bound_report rows tabulated by the sweep, in CSV column order
 _SWEEP_BOUNDS = ("thm_1_1", "cor_1_2", "wang_xia_opt", "hlc_k1")
 
@@ -193,7 +195,9 @@ def cmd_sweep(config: RunConfig, out) -> int:
 
 def cmd_identities(config: RunConfig, out) -> int:
     domain = make_cap(config.geometry, config.dim, config.aperture)
-    reports = run_identity_suite(domain, m=config.elements, quad_order=config.quad_order)
+    reports = run_identity_suite(
+        domain, m=config.elements, quad_order=config.quad_order, l_max=config.l_max
+    )
     document = {
         "meta": _meta(config),
         "identities": [
@@ -259,6 +263,10 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         point = start + k * step
         if point > stop + 1e-12 * max(1.0, abs(stop)):
             break
+        if k == _MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"sweep takes at most {_MAX_SWEEP_POINTS} aperture points (got more from {text})"
+            )
         points.append(point)
         k += 1
     if len(points) < 2:

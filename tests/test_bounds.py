@@ -98,6 +98,25 @@ def test_implied_gap_matches_brute_force_grid(dim):
     assert got == pytest.approx(brute, rel=1e-5)
 
 
+def test_implied_gap_scan_matches_the_scalar_scan():
+    # the vectorised scan must pick the grid point the scalar loop picks,
+    # so every value is built from the same floating-point operations
+    grid = [10.0 ** (k / 400.0) for k in range(-2400, 801)]
+    assert bounds._GAP_GRID.tolist() == grid
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4, 5, 7):
+        for lam1 in [float(x) for x in rng.uniform(0.05, 400.0, 8)] + [float(n), 1e-3]:
+
+            def quotient(delta):
+                c, d = bounds._gap_cd(delta, lam1, n)
+                return math.inf if c >= 2.0 else d / (2.0 - c)
+
+            scalar = [quotient(delta) for delta in grid]
+            scan = bounds._gap_scan(lam1, n)
+            assert scan.tolist() == scalar
+            assert int(np.argmin(scan)) == min(range(len(grid)), key=scalar.__getitem__)
+
+
 def test_implied_gap_shrinks_toward_small_lam1():
     # the optimized gap grows with lam1, so the bound stays ordered
     gaps = [cs.wang_xia_implied_gap(lam1, 3) for lam1 in (3.0, 5.0, 9.0, 20.0)]

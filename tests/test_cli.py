@@ -142,6 +142,36 @@ def test_identities_json_layout():
         assert row["pass"] is True
 
 
+def test_identities_use_and_echo_l_max():
+    base = ("identities", "--geometry", "spherical", "--dim", "3", "--aperture", "1.0",
+            "--elements", "32")
+    rc6, out6, _ = _run(*base)
+    rc1, out1, _ = _run(*base, "--l-max", "1")
+    assert rc6 == rc1 == 0
+    doc6, doc1 = json.loads(out6), json.loads(out1)
+    # sectors 0 and 1 already certify lam2, so the rows do not change
+    assert doc1["identities"] == doc6["identities"]
+    assert doc6["meta"]["config"]["l_max"] == 6
+    assert doc1["meta"]["config"]["l_max"] == 1
+    # sector 0 alone cannot certify lam2
+    rc0, out0, err0 = _run(*base, "--l-max", "0")
+    assert rc0 == 3 and out0 == ""
+    assert err0.startswith("error: ") and "raise l_max" in err0
+
+
+def test_sweep_point_limit(monkeypatch):
+    # the parser stops at the limit, so a huge range costs no more than it
+    rc, out, err = _run("sweep", "--geometry", "spherical", "--dim", "2",
+                        "--aperture", "0.5:3.0:1e-6")
+    assert rc == 2 and out == ""
+    assert err == (f"error: sweep takes at most {cli._MAX_SWEEP_POINTS} aperture points "
+                   "(got more from 0.5:3.0:1e-6)\n")
+    monkeypatch.setattr(cli, "_MAX_SWEEP_POINTS", 4)
+    assert cli._parse_sweep("0.5:2.0:0.5") == (0.5, 1.0, 1.5, 2.0)
+    with pytest.raises(ValueError, match="at most 4 aperture points"):
+        cli._parse_sweep("0.5:2.5:0.5")
+
+
 def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "run.json"
     rc, out, _ = _run(*SOLVE_ARGS, "--output", str(target))

@@ -229,6 +229,61 @@ def test_ground_state_samples_are_the_solver_samples(n, aperture):
     assert abs(quotient - u1.lam1) <= 1e-15 * u1.lam1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("aperture", [0.3, 1.0, 2.0, 3.0])
+def test_ground_state_matches_a_solve_of_every_sector(n, aperture):
+    # solve_spectrum solves the sectors it keeps exactly as solve_sector
+    # does, so u1, lam1 and lam2 are the bits of a solve of sectors 0..6
+    domain = cs.make_cap("spherical", n, aperture)
+    sectors = {l: cs.solve_sector(domain, l, m=32, count=2) for l in range(7)}
+    spectrum = cs.assemble_spectrum(sectors, dim=n)
+    pair = sectors[0][0]
+    u1, lam2 = prooflab.ground_state(domain, m=32)
+    assert np.array_equal(u1.coeffs, fem.expand_coefficients(pair.mesh, pair.coeffs, pair.dof_map))
+    assert u1.lam1 == pair.value == spectrum.entries[0].value
+    assert lam2 == spectrum.entries[1].value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ground_state_solves_only_the_sectors_that_reach_lambda2(monkeypatch, n):
+    # sector 0 gives lam1 and its second value; sector 1 (multiplicity n)
+    # lies below that, and every higher sector is certified above it.
+    # A pencil solve of sector l is seeded with 2718 + l.
+    solved = []
+    real = cs.eigensolve.solve_pencil
+
+    def counting(A, B, count, seed):
+        solved.append(seed - 2718)
+        return real(A, B, count=count, seed=seed)
+
+    monkeypatch.setattr(cs.eigensolve, "solve_pencil", counting)
+    cs.run_identity_suite(cs.make_cap("spherical", n, 1.0), m=32)
+    assert solved == [0, 1]
+
+
+def test_ground_state_radial_check_outlives_the_truncation_check(monkeypatch):
+    """lam1 outside sector 0, with that sector solved at l_max, raises ValueError.
+
+    No cap puts lam1 outside sector 0, so sector 0's quotients are lifted
+    by hand.  The truncation check of the merged head looks at sector
+    l_max, which here holds lam1 itself: its copies (multiplicity n >= 2)
+    fill the head, the check passes, and the radial check raises the same
+    ValueError as before.  Only an l_max too small to certify lam2 raises
+    TruncationError.
+    """
+    real = cs.eigensolve.rayleigh_quotient
+
+    def lifted(pencil, x):
+        return real(pencil, x) + (1000.0 if pencil.sector.l == 0 else 0.0)
+
+    monkeypatch.setattr(cs.eigensolve, "rayleigh_quotient", lifted)
+    domain = cs.make_cap("spherical", 2, 1.0)
+    with pytest.raises(ValueError, match="lies in harmonic sector 1"):
+        prooflab.ground_state(domain, m=32, l_max=1)
+    with pytest.raises(cs.TruncationError, match="raise l_max"):
+        prooflab.ground_state(domain, m=32, l_max=0)
+
+
 def test_ground_state_rejects_flat_domains():
     with pytest.raises(ValueError, match="requires a spherical cap"):
         prooflab.ground_state(cs.make_cap("flat", 2, 1.0), m=32)
