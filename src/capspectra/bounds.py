@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import Geometry
 
 __all__ = [
@@ -54,6 +52,27 @@ def _require_dim(dim):
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
         raise ValueError(f"dim must be an integer >= 2 (got {dim!r})")
     return dim
+
+
+def _require_cap_args(lam1, dim):
+    """Checked ``(lam1, dim)`` of a closed-form cap bound, which needs lam1 >= dim."""
+    lam1 = _require_lam1(lam1)
+    dim = _require_dim(dim)
+    if lam1 < dim:
+        raise ValueError(f"bound requires lam1 >= dim (got lam1={lam1}, dim={dim})")
+    return lam1, dim
+
+
+def _require_k(k):
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be a positive integer (got {k!r})")
+    return k
+
+
+def _require_above_dim_minus_two(lam1, dim):
+    """The premise lam1 > n - 2 of the spherical quadratic-sum family."""
+    if lam1 <= dim - 2.0:
+        raise ValueError("inequality needs every eigenvalue above dim - 2")
 
 
 def ppw_bound(lam1, dim):
@@ -109,10 +128,7 @@ def hlc_k1_bound(lam1, dim):
 
     valid whenever ``lam1 >= n`` (which every proper cap satisfies).
     """
-    lam1 = _require_lam1(lam1)
-    dim = _require_dim(dim)
-    if lam1 < dim:
-        raise ValueError(f"bound requires lam1 >= dim (got lam1={lam1}, dim={dim})")
+    lam1, dim = _require_cap_args(lam1, dim)
     return lam1 + lam1 * (lam1 + 0.25 * (dim - 2.0) ** 2)
 
 
@@ -127,10 +143,7 @@ def thm11_bound(lam1, dim):
     an upper bound for the second buckling eigenvalue of a clamped
     geodesic cap with ``lam1 >= n``.
     """
-    lam1 = _require_lam1(lam1)
-    dim = _require_dim(dim)
-    if lam1 < dim:
-        raise ValueError(f"bound requires lam1 >= dim (got lam1={lam1}, dim={dim})")
+    lam1, dim = _require_cap_args(lam1, dim)
     coeff = dim * (dim - lam1) / lam1 + 2.0 * (dim + 2.0)
     return lam1 + coeff * (4.0 * lam1 + (dim - 2.0) ** 2) / (dim + 2.0) ** 2
 
@@ -141,37 +154,17 @@ def cor12_bound(lam1, dim):
     Returns ``(1 + 8/(n+2)) lam1 + 2 (n-2)^2 / (n+2)``.  Weaker than
     :func:`thm11_bound` but independent of the sign of ``n - lam1``.
     """
-    lam1 = _require_lam1(lam1)
-    dim = _require_dim(dim)
-    if lam1 < dim:
-        raise ValueError(f"bound requires lam1 >= dim (got lam1={lam1}, dim={dim})")
+    lam1, dim = _require_cap_args(lam1, dim)
     return (1.0 + 8.0 / (dim + 2.0)) * lam1 + 2.0 * (dim - 2.0) ** 2 / (dim + 2.0)
 
 
 def _gap_cd(delta, lam1, dim):
     """The pair (c, d) entering the delta-family of spherical gap bounds."""
     c = delta * lam1 + delta * delta * (lam1 - (dim - 2.0)) / (
-        4.0 * (delta * lam1 + dim - 2.0)
+        4.0 * (delta * lam1 + (dim - 2.0))
     )
     d = (lam1 + 0.25 * (dim - 2.0) ** 2) / delta
     return c, d
-
-
-#: the log-spaced delta grid 10^(k/400), k = -2400..800, that brackets the
-#: minimum in ``wang_xia_implied_gap``; built from the Python power, since
-#: np.power differs from it in the last bit
-_GAP_GRID = np.array([10.0 ** (k / 400.0) for k in range(-2400, 801)])
-
-
-def _gap_scan(lam1, dim):
-    """The gap quotient d / (2 - c) at every point of ``_GAP_GRID``, inf where c >= 2.
-
-    Elementwise the same floating-point operations as the scalar quotient
-    in ``wang_xia_implied_gap``, so each entry equals it bit for bit.
-    """
-    c, d = _gap_cd(_GAP_GRID, lam1, dim)
-    with np.errstate(divide="ignore"):
-        return np.where(c >= 2.0, math.inf, d / (2.0 - c))
 
 
 def wang_xia_implied_gap(lam1, dim):
@@ -183,45 +176,43 @@ def wang_xia_implied_gap(lam1, dim):
         c(delta) = delta lam1 + delta^2 (lam1 - (n-2)) / (4 (delta lam1 + n-2)),
         d(delta) = (lam1 + (n-2)^2 / 4) / delta.
 
-    Returns the minimum of that quotient over the feasible deltas, found by
-    a coarse grid scan refined with golden-section search, or ``math.inf``
-    when no delta is feasible.  For n = 2 the minimum has the closed form
-    ``lam1 (lam1 + 1/4)`` attained at ``delta = 1 / (lam1 + 1/4)``.
+    Returns the minimum of that quotient over the feasible deltas.  The
+    family needs ``lam1 > n - 2``; a ValueError says so otherwise.
+
+    With b = n - 2 and a = lam1 - b the quotient is (lam1 + b^2/4) / g
+    for g(delta) = delta (2 - c(delta)), so it is smallest where g is
+    largest.  In u = lam1 delta and r = u / (u + b) the slope is
+
+        g'(delta) = 2 - 2u - a delta r (3 - r) / (4 lam1),
+
+    which falls strictly, is 2 at delta = 0 and negative at u = 1 since
+    a > 0.  So g' has one root delta* in (0, 1/lam1), found here by
+    bisection in u on (0, 1] down to adjacent floats.  Since g(0) = 0 and g
+    rises up to delta*, g(delta*) > 0: the optimum is always feasible and
+    the result finite.  For n = 2 the root is ``delta* = 1 / (lam1 + 1/4)``
+    and the minimum ``lam1 (lam1 + 1/4)``.
     """
     lam1 = _require_lam1(lam1)
     dim = _require_dim(dim)
+    _require_above_dim_minus_two(lam1, dim)
+    b = dim - 2.0
+    a = lam1 - b
 
-    def quotient(delta):
-        c, d = _gap_cd(delta, lam1, dim)
-        if c >= 2.0:
-            return math.inf
-        return d / (2.0 - c)
+    def slope(u):
+        # lam1 g'(u / lam1): the sign of g', free of overflow for tiny lam1
+        r = u / (u + b)
+        return 2.0 * lam1 * (1.0 - u) - a / lam1 * u * r * (3.0 - r) / 4.0
 
-    # The feasible set is an interval (0, delta_max); c is increasing in
-    # delta, so scan a log-spaced grid to bracket the minimum.
-    scan = _gap_scan(lam1, dim)
-    best_i = int(np.argmin(scan))
-    if scan[best_i] == math.inf:
-        return math.inf
-    lo = float(_GAP_GRID[max(best_i - 1, 0)])
-    hi = float(_GAP_GRID[min(best_i + 1, len(_GAP_GRID) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = quotient(x1), quotient(x2)
-    for _ in range(200):
-        if b - a <= 1e-14 * b:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = quotient(x1)
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = quotient(x2)
-    return min(f1, f2)
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    c, d = _gap_cd(mid / lam1, lam1, dim)
+    return d / (2.0 - c)
 
 
 @dataclass(frozen=True)
@@ -301,6 +292,12 @@ def _checked_values(values, need):
     return vals
 
 
+def _values_and_gaps(values, k):
+    """The checked eigenvalues and the gaps lam_{k+1} - lam_i, i = 1..k."""
+    vals = _checked_values(values, k + 1)
+    return vals, [vals[k] - v for v in vals[:k]]
+
+
 def ashbaugh_check(values, dim):
     """Sum bound: lam_2 + ... + lam_{n+1} <= (n + 4) lam_1 in R^n.
 
@@ -324,11 +321,8 @@ def cheng_yang_check(values, k, dim):
     both sums over i = 1..k.  Needs k + 1 eigenvalues.
     """
     dim = _require_dim(dim)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer (got {k!r})")
-    vals = _checked_values(values, k + 1)
-    top = vals[k]
-    gaps = [top - v for v in vals[:k]]
+    k = _require_k(k)
+    vals, gaps = _values_and_gaps(values, k)
     lhs = sum(g * g for g in gaps)
     rhs = 4.0 * (dim + 2.0) / dim**2 * sum(g * v for g, v in zip(gaps, vals))
     return _report("cheng_yang", "euclidean", lhs, rhs, k=k)
@@ -347,16 +341,12 @@ def wang_xia_check(values, k, dim, delta):
     Needs k + 1 eigenvalues, each larger than n - 2.
     """
     dim = _require_dim(dim)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer (got {k!r})")
+    k = _require_k(k)
     delta = float(delta)
     if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError(f"delta must be positive (got {delta})")
-    vals = _checked_values(values, k + 1)
-    if vals[0] <= dim - 2.0:
-        raise ValueError("inequality needs every eigenvalue above dim - 2")
-    top = vals[k]
-    gaps = [top - v for v in vals[:k]]
+    vals, gaps = _values_and_gaps(values, k)
+    _require_above_dim_minus_two(vals[0], dim)
     lhs = 2.0 * sum(g * g for g in gaps)
     quad = sum(
         g * g * (delta * v + delta * delta * (v - (dim - 2.0)) / (4.0 * (delta * v + dim - 2.0)))
@@ -378,13 +368,9 @@ def huang_li_cao_check(values, k, dim):
     all sums over i = 1..k.  Needs k + 1 eigenvalues with lam_i > n - 2.
     """
     dim = _require_dim(dim)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer (got {k!r})")
-    vals = _checked_values(values, k + 1)
-    if vals[0] <= dim - 2.0:
-        raise ValueError("inequality needs every eigenvalue above dim - 2")
-    top = vals[k]
-    gaps = [top - v for v in vals[:k]]
+    k = _require_k(k)
+    vals, gaps = _values_and_gaps(values, k)
+    _require_above_dim_minus_two(vals[0], dim)
     lhs = sum(
         g * g * (2.0 + (dim - 2.0) / (v - (dim - 2.0))) for g, v in zip(gaps, vals)
     )

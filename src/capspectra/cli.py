@@ -8,9 +8,10 @@ Exit codes: 0 on success, 1 when a checked inequality is violated (a
 bound fails on the computed spectrum, a sweep row breaks monotonicity or
 the lower bound on the first eigenvalue, or an identity check does not
 pass), 2 on configuration or usage errors (an output file that cannot be
-opened included), 3 when the solver cannot deliver the requested spectrum
+written included), 3 when the solver cannot deliver the requested spectrum
 (truncated sectors, a pencil that is not definite, or an iteration that
-does not converge).
+does not converge).  An ``--output`` file is opened only after the run
+succeeds, so a failing run leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _spectrum(config: RunConfig, aperture: float):
     return spectrum
 
 
-def cmd_solve(config: RunConfig, out) -> int:
+def cmd_solve(config: RunConfig) -> tuple[int, str]:
     spectrum = _spectrum(config, config.aperture)
     reports = bound_report(spectrum)
     document = {
@@ -156,12 +157,11 @@ def cmd_solve(config: RunConfig, out) -> int:
         ],
         "bounds": _bound_rows(reports),
     }
-    out.write(_to_json(document) + "\n")
     evaluated = [rep for rep in reports if rep.skip_reason is None]
-    return 0 if all(rep.satisfied for rep in evaluated) else 1
+    return (0 if all(rep.satisfied for rep in evaluated) else 1), _to_json(document) + "\n"
 
 
-def cmd_sweep(config: RunConfig, out) -> int:
+def cmd_sweep(config: RunConfig) -> tuple[int, str]:
     header = (
         "aperture,lambda1,lambda2,thm11_rhs,cor12_rhs,wang_xia_opt_rhs,"
         "hlc_k1_rhs,lambda1_minus_n,monotone_ok"
@@ -189,11 +189,10 @@ def cmd_sweep(config: RunConfig, out) -> int:
                 + [_format_number(gap_to_n), "true" if monotone_ok else "false"]
             )
         )
-    out.write("\n".join(lines) + "\n")
-    return 1 if violated else 0
+    return (1 if violated else 0), "\n".join(lines) + "\n"
 
 
-def cmd_identities(config: RunConfig, out) -> int:
+def cmd_identities(config: RunConfig) -> tuple[int, str]:
     domain = make_cap(config.geometry, config.dim, config.aperture)
     reports = run_identity_suite(
         domain, m=config.elements, quad_order=config.quad_order, l_max=config.l_max
@@ -211,8 +210,7 @@ def cmd_identities(config: RunConfig, out) -> int:
             for rep in reports
         ],
     }
-    out.write(_to_json(document) + "\n")
-    return 0 if all(rep.passed for rep in reports) else 1
+    return (0 if all(rep.passed for rep in reports) else 1), _to_json(document) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -311,21 +309,24 @@ def main(argv=None, out=None, err=None) -> int:
     handlers = {"solve": cmd_solve, "sweep": cmd_sweep, "identities": cmd_identities}
     try:
         config = _config_from_args(args)
-        if config.output is None:
-            return handlers[config.subcommand](config, out)
-        try:
-            sink = open(config.output, "w", encoding="utf-8")
-        except OSError as exc:
-            err.write(f"error: cannot write {config.output}: {exc.strerror}\n")
-            return 2
-        with sink:
-            return handlers[config.subcommand](config, sink)
+        code, text = handlers[config.subcommand](config)
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 2
     except (TruncationError, CholeskyError, ConvergenceError) as exc:
         err.write(f"error: {exc}\n")
         return 3
+    if config.output is None:
+        out.write(text)
+        return code
+    # the file is opened only now, so a run that fails leaves it untouched
+    try:
+        with open(config.output, "w", encoding="utf-8") as sink:
+            sink.write(text)
+    except OSError as exc:
+        err.write(f"error: cannot write {config.output}: {exc.strerror}\n")
+        return 2
+    return code
 
 
 def entry() -> None:

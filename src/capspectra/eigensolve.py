@@ -83,10 +83,6 @@ class Spectrum:
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries])
 
-    @property
-    def lambda1_sector(self) -> int:
-        return self.entries[0].l
-
 
 def _sector_pairs(pencil: OperatorPencil, mesh: Mesh, domain: CapDomain, count: int) -> list[Eigenpair]:
     """The count smallest eigenpairs of an assembled sector pencil, gradient-normalized.

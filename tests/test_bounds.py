@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import capspectra as cs
-from capspectra import bounds
 
 
 def test_simple_ratio_bounds():
@@ -80,41 +79,29 @@ def test_cap_bound_formulas_by_hand():
 
 def test_implied_gap_closed_form_in_dimension_two():
     # at n = 2 the optimization has the closed-form answer lam1 (lam1 + 1/4)
-    for lam1 in (2.0, 3.7, 10.0, 55.0):
+    for lam1 in (2.0, 3.7, 10.0, 55.0, 1e3, 1e6, 1e9):
         want = lam1 * (lam1 + 0.25)
-        assert cs.wang_xia_implied_gap(lam1, 2) == pytest.approx(want, rel=1e-10)
+        assert cs.wang_xia_implied_gap(lam1, 2) == pytest.approx(want, rel=1e-15)
 
 
-@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_implied_gap_matches_brute_force_grid(dim):
-    lam1 = 12.5
-    got = cs.wang_xia_implied_gap(lam1, dim)
-    deltas = np.logspace(-5, 2, 400_000)
-    c = deltas * lam1 + deltas**2 * (lam1 - (dim - 2)) / (4.0 * (deltas * lam1 + dim - 2))
-    d = (lam1 + (dim - 2) ** 2 / 4.0) / deltas
-    feasible = c < 2.0
-    brute = np.min(d[feasible] / (2.0 - c[feasible]))
-    assert got <= brute * (1 + 1e-9)
-    assert got == pytest.approx(brute, rel=1e-5)
+    for lam1 in (float(dim), 12.5, 1e3, 1e6, 1e9):
+        got = cs.wang_xia_implied_gap(lam1, dim)
+        # the minimizer lies in (0, 1/lam1), so the grid scales with 1/lam1
+        deltas = np.logspace(-3, 0, 200_000) / lam1
+        c = deltas * lam1 + deltas**2 * (lam1 - (dim - 2)) / (4.0 * (deltas * lam1 + (dim - 2)))
+        d = (lam1 + (dim - 2) ** 2 / 4.0) / deltas
+        feasible = c < 2.0
+        brute = np.min(d[feasible] / (2.0 - c[feasible]))
+        assert got <= brute * (1 + 1e-9)
+        assert got == pytest.approx(brute, rel=1e-5)
 
 
-def test_implied_gap_scan_matches_the_scalar_scan():
-    # the vectorised scan must pick the grid point the scalar loop picks,
-    # so every value is built from the same floating-point operations
-    grid = [10.0 ** (k / 400.0) for k in range(-2400, 801)]
-    assert bounds._GAP_GRID.tolist() == grid
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 4, 5, 7):
-        for lam1 in [float(x) for x in rng.uniform(0.05, 400.0, 8)] + [float(n), 1e-3]:
-
-            def quotient(delta):
-                c, d = bounds._gap_cd(delta, lam1, n)
-                return math.inf if c >= 2.0 else d / (2.0 - c)
-
-            scalar = [quotient(delta) for delta in grid]
-            scan = bounds._gap_scan(lam1, n)
-            assert scan.tolist() == scalar
-            assert int(np.argmin(scan)) == min(range(len(grid)), key=scalar.__getitem__)
+def test_implied_gap_needs_lam1_above_dim_minus_two():
+    for lam1, dim in ((1.0, 3), (0.5, 3), (3.0, 5)):
+        with pytest.raises(ValueError, match="above dim - 2"):
+            cs.wang_xia_implied_gap(lam1, dim)
 
 
 def test_implied_gap_shrinks_toward_small_lam1():

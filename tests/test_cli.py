@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 
@@ -83,6 +84,17 @@ def test_solve_skipped_rows_stay_out_of_the_output():
         assert all(not isinstance(v, float) or v == v for v in row.values())
 
 
+def test_small_cap_solve_reports_finite_bounds():
+    # lambda1 near 6.6e6 puts the optimal delta of the wang_xia_opt row near 1.5e-7
+    rc, out, err = _run("solve", "--geometry", "spherical", "--dim", "2",
+                        "--aperture", "0.002", "--elements", "32")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert "wang_xia_opt" in [row["bound_id"] for row in doc["bounds"]]
+    for row in doc["bounds"]:
+        assert math.isfinite(row["rhs"]) and math.isfinite(row["slack"])
+
+
 def test_solve_exit_one_when_a_bound_fails(monkeypatch):
     import dataclasses
 
@@ -119,6 +131,16 @@ def test_sweep_csv_layout_and_monotone_column():
         if prev is not None:
             assert lam1 < prev
         prev = lam1
+
+
+def test_small_cap_sweep_has_no_inf():
+    rc, out, err = _run("sweep", "--geometry", "spherical", "--dim", "3",
+                        "--aperture", "0.001:0.003:0.001", "--elements", "32")
+    assert rc == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3
+    for fields in rows:
+        assert all(math.isfinite(float(v)) for v in fields[:-1])
 
 
 def test_sweep_is_deterministic():
@@ -189,6 +211,25 @@ def test_unopenable_output_exits_two(tmp_path, where):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "32",
+          "--l-max", "0", "--num-eigs", "4"), 3),
+        (("identities", "--geometry", "spherical", "--dim", "2", "--aperture", "1.0",
+          "--elements", "8"), 2),
+    ],
+    ids=["solve", "identities"],
+)
+def test_failing_run_keeps_the_output_file(tmp_path, argv, code):
+    target = tmp_path / "run.json"
+    target.write_text("an earlier report\n")
+    rc, out, err = _run(*argv, "--output", str(target))
+    assert rc == code
+    assert out == "" and err.startswith("error: ")
+    assert target.read_text() == "an earlier report\n"
 
 
 def test_version_flag(capsys):
