@@ -331,3 +331,7 @@ def main(argv=None, out=None, err=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

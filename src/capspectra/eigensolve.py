@@ -3,8 +3,10 @@
 The sector solve normalizes eigenfunctions by the full-domain gradient
 integral, i.e. |S^{n-1}| times the membrane quadratic form equals one,
 matching the convention the downstream integral identities assume.
-The merged spectrum solves only the sectors that can reach its head: an
-inertia count at the head's last value certifies each sector it skips.
+The merged spectrum solves only the sectors that can reach its head: a
+lower bound on each sector's eigenvalues ends the walk over sectors, and
+an inertia count at the head's last value certifies each sector it skips
+before that.
 
 The Bessel-zero routine is an independent check on the whole FEM pipeline
 for flat disks: the sector-l eigenvalues of the clamped buckling problem on
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _BRACKET_SLACK, inertia_counts, pencil_bands, solve_pencil
-from .domain import CapDomain, SectorIndex, harmonic_multiplicity, surface_area
+from .domain import CapDomain, Geometry, SectorIndex, harmonic_multiplicity, surface_area
 from .fem import Mesh, OperatorPencil, assemble_sector_forms, build_mesh, rayleigh_quotient
 
 __all__ = [
@@ -187,20 +189,34 @@ def assemble_spectrum(sector_results, count: int | None = None, dim: int | None 
 
 
 def _pairs_below(
-    domain: CapDomain, l: int, mesh: Mesh, quad_order: int, count: int, tau: float | None
+    domain: CapDomain, l: int, mesh: Mesh, quad_order: int, count: int, shift: float | None
 ) -> list[Eigenpair]:
-    """Sector l's count smallest eigenpairs, or [] if its pencil has none below tau.
+    """Sector l's count smallest eigenpairs, or [] if its pencil has none below shift.
 
-    The inertia count is taken at tau (1 + ``_BRACKET_SLACK``); tau None
-    solves the sector unconditionally.  The dense pencil lives only here,
-    so no two sectors' pencils are held at once.
+    shift None solves the sector unconditionally.  The dense pencil lives
+    only here, so no two sectors' pencils are held at once.
     """
     pencil = assemble_sector_forms(domain, l, mesh, quad_order)
-    if tau is not None:
-        shift = tau + _BRACKET_SLACK * abs(tau)
-        if inertia_counts(*pencil_bands(pencil.A, pencil.B), [shift])[0] == 0:
-            return []
+    if shift is not None and inertia_counts(*pencil_bands(pencil.A, pencil.B), [shift])[0] == 0:
+        return []
     return _sector_pairs(pencil, mesh, domain, count)
+
+
+def _sector_lower_bound(domain: CapDomain, l: int) -> float:
+    """l(l+n-2) min s^2, a lower bound on every eigenvalue of sector l.
+
+    min s^2 over the domain is 1/sin^2(min(R, pi/2)) on a cap of aperture R
+    and 1/R^2 on a flat ball.  For clamped u, Cauchy-Schwarz on
+    int |grad u|^2 = -int u Delta u gives int (Delta u)^2 >= mu_1 int |grad u|^2,
+    with mu_1 >= l(l+n-2) min s^2 the lowest Dirichlet Laplacian eigenvalue
+    of the sector; Hermite cubics are conforming, so the bound holds for
+    the sector pencil as well.
+    """
+    if domain.geometry is Geometry.SPHERICAL:
+        min_s2 = 1.0 / math.sin(min(domain.aperture, 0.5 * math.pi)) ** 2
+    else:
+        min_s2 = 1.0 / domain.aperture**2
+    return l * (l + domain.dim - 2) * min_s2
 
 
 def solve_spectrum(
@@ -214,15 +230,24 @@ def solve_spectrum(
 
     Sectors are taken in order of l and each pencil is assembled once.
     Once the values gathered so far (with multiplicities) number at least
-    ``count``, let tau be the count-th smallest of them.  An LDL^T inertia
-    count (Sylvester's law) then says how many of a sector's pencil
-    eigenvalues lie below tau (1 + ``_BRACKET_SLACK``).  When none do, the
-    sector cannot reach the head: its values would all sort after tau,
-    which only falls as more sectors are solved, and the slack covers the
-    gap between a pencil eigenvalue and its quadrature Rayleigh quotient.
-    Such a sector is not solved and maps to an empty list in the sector
-    dict.  Every other sector is solved as ``solve_sector`` solves it, so
-    the head is the one a solve of every sector would give, and a
+    ``count``, let tau be the count-th smallest of them, and shift =
+    tau (1 + ``_BRACKET_SLACK``).  A sector all of whose eigenvalues lie
+    above shift cannot reach the head: its values would all sort after
+    tau, which only falls as more sectors are solved, and the slack covers
+    the gap between a pencil eigenvalue and its quadrature Rayleigh
+    quotient.  Such a sector is not solved and maps to an empty list in
+    the sector dict.  Two certificates find these sectors:
+
+    * the walk ends at the first l whose ``_sector_lower_bound`` exceeds
+      shift, before that sector is assembled.  The bound rises with l and
+      tau no longer moves, so every later sector is above shift as well,
+      and sectors l..l_max all map to [];
+    * below that l, an LDL^T inertia count (Sylvester's law) of the
+      assembled pencil at shift says how many of its eigenvalues lie
+      below; none means the sector is skipped.
+
+    Every other sector is solved as ``solve_sector`` solves it, so the
+    head is the one a solve of every sector would give, and a
     TruncationError is raised in the same cases.
     """
     if l_max < 0:
@@ -233,8 +258,11 @@ def solve_spectrum(
     sectors = {}
     head: list[float] = []  # the count smallest values so far, one per copy
     for l in range(l_max + 1):
-        tau = head[-1] if len(head) == count else None
-        sectors[l] = pairs = _pairs_below(domain, l, mesh, quad_order, count, tau)
+        shift = head[-1] + _BRACKET_SLACK * abs(head[-1]) if len(head) == count else None
+        if shift is not None and _sector_lower_bound(domain, l) > shift:
+            sectors.update((k, []) for k in range(l, l_max + 1))
+            break
+        sectors[l] = pairs = _pairs_below(domain, l, mesh, quad_order, count, shift)
         mult = harmonic_multiplicity(domain.dim, l)
         head = sorted(head + [p.value for p in pairs for _ in range(mult)])[:count]
     return assemble_spectrum(sectors, count=count), sectors

@@ -22,6 +22,7 @@ identities in ``prooflab`` integrate the same samples of the ground state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,6 +165,15 @@ class OperatorPencil:
     samples: SectorSamples
 
 
+@lru_cache(maxsize=16)
+def _reference_rule(quad_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0, 1], built once per order and read-only."""
+    ref = gauss_legendre_rule(quad_order, 0.0, 1.0)
+    ref.nodes.flags.writeable = False
+    ref.weights.flags.writeable = False
+    return ref.nodes, ref.weights
+
+
 def _sample_sector_shapes(domain: CapDomain, l: int, mesh: Mesh, quad_order: int = 6) -> SectorSamples:
     """Sample the sector-l shapes, L_l shapes and weights on the Gauss grid.
 
@@ -179,8 +189,7 @@ def _sample_sector_shapes(domain: CapDomain, l: int, mesh: Mesh, quad_order: int
     h = mesh.element_size
     kappa = float(make_sector(n, l).angular_eigenvalue)
 
-    ref = gauss_legendre_rule(quad_order, 0.0, 1.0)
-    xi, wref = ref.nodes, ref.weights
+    xi, wref = _reference_rule(quad_order)
     B0 = _shape_values(xi, h, 0)
     B1 = _shape_values(xi, h, 1)
     B2 = _shape_values(xi, h, 2)
@@ -201,36 +210,60 @@ def _element_dofs(m: int) -> np.ndarray:
     return 2 * np.arange(m)[:, None] + np.arange(4)[None, :]
 
 
+def _scatter_bands(Ke: np.ndarray) -> np.ndarray:
+    """Upper bands (4, 2m + 2) of the global matrix summed from element matrices Ke.
+
+    Row k holds the k-th superdiagonal: entry [k, i] is global (i, i + k).
+    Element e's local (a, a + k) lands at [k, 2e + a], so each strided add
+    below touches every element once and no entry twice; an entry gets at
+    most two terms (from the elements sharing its node), and a sum of two
+    terms from zero does not depend on their order.
+    """
+    m = Ke.shape[0]
+    bands = np.zeros((4, 2 * (m + 1)))
+    for k in range(4):
+        for a in range(4 - k):
+            bands[k, a : a + 2 * m : 2] += Ke[:, a, a + k]
+    return bands
+
+
+def _dense_from_bands(bands: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix of the ``free`` rows and columns of a band matrix."""
+    p, ndof = bands.shape[0] - 1, bands.shape[1]
+    # position of each DOF among the free ones, -1 for a constrained DOF or
+    # past the last one, which a band of a free row may reach
+    position = np.full(ndof + p, -1)
+    position[free] = np.arange(free.size)
+    dense = np.zeros((free.size, free.size))
+    for k in range(p + 1):
+        rows = free[position[free + k] >= 0]
+        i, j = position[rows], position[rows + k]
+        dense[i, j] = dense[j, i] = bands[k, rows]
+    return dense
+
+
 def assemble_sector_forms(domain: CapDomain, l: int, mesh: Mesh, quad_order: int = 6) -> OperatorPencil:
     """Assemble the bending and membrane forms for sector l.
 
-    Element matrices are Gauss sums over ``_sample_sector_shapes``.
+    Element matrices are Gauss sums over ``_sample_sector_shapes``; they
+    are summed into band storage (``_scatter_bands``), from which the dense
+    free-DOF matrices are written.
     """
     samples = _sample_sector_shapes(domain, l, mesh, quad_order)
     B0, B1, W = samples.value, samples.slope, samples.weight
     Lphi = samples.bending
-    m = mesh.num_elements
 
     Ae = np.einsum("eig,ejg,eg->eij", Lphi, Lphi, W)
     Be = np.einsum("ig,jg,eg->eij", B1, B1, W) + np.einsum("ig,jg,eg->eij", B0, B0, samples.membrane)
     Ae = 0.5 * (Ae + Ae.transpose(0, 2, 1))
     Be = 0.5 * (Be + Be.transpose(0, 2, 1))
 
-    ndof = 2 * (m + 1)
-    idx = _element_dofs(m)
-    A = np.zeros((ndof, ndof))
-    B = np.zeros((ndof, ndof))
-    np.add.at(A, (idx[:, :, None], idx[:, None, :]), Ae)
-    np.add.at(B, (idx[:, :, None], idx[:, None, :]), Be)
-
-    free = free_dof_indices(m, l)
-    A = A[np.ix_(free, free)]
-    B = B[np.ix_(free, free)]
-    dof_map = tuple((k // 2, k % 2) for k in free)
+    free = free_dof_indices(mesh.num_elements, l)
+    free_array = np.array(free)
     return OperatorPencil(
-        A=A,
-        B=B,
-        dof_map=dof_map,
+        A=_dense_from_bands(_scatter_bands(Ae), free_array),
+        B=_dense_from_bands(_scatter_bands(Be), free_array),
+        dof_map=tuple((k // 2, k % 2) for k in free),
         sector=make_sector(domain.dim, l),
         domain=domain,
         mesh=mesh,

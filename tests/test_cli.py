@@ -1,8 +1,13 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +298,50 @@ def test_unknown_subcommand_exits_two():
 def test_missing_required_flag_exits_two():
     rc, _, _ = _run("solve", "--geometry", "flat", "--dim", "2")
     assert rc == 2
+
+
+@pytest.mark.parametrize("module", ["capspectra", "capspectra.cli"])
+def test_module_entry_points_run_the_cli(module):
+    # python3 -m capspectra runs a checkout without an installed console script
+    src = str(Path(capspectra.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, *SOLVE_ARGS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == _run(*SOLVE_ARGS)[1]
+    assert set(json.loads(proc.stdout)) == {"meta", "spectrum", "bounds"}
+    failing = subprocess.run([sys.executable, "-m", module, "solve", "--geometry", "flat"],
+                             capture_output=True, text=True, env=env, timeout=120)
+    assert failing.returncode == 2 and failing.stdout == ""
+
+
+#: SHA-256 of the standard output of each run, with its exit code, as
+#: commit cde1464 printed them (CPython 3.11, numpy 2.4.6, x86-64).  A
+#: change that moves any printed digit changes a digest; such a change
+#: updates the digest here on purpose and records the move in CHANGES.md.
+GOLDEN = [
+    ("solve --geometry flat --dim 2 --aperture 1.0 --elements 64", 0,
+     "19cdee223044b4260b8cfd7f252eda497cde55b52ebb9b7f34c9dd232e9284e9"),
+    ("solve --geometry flat --dim 5 --aperture 0.7 --elements 32 --num-eigs 10", 0,
+     "fb63beb1aafde73551457f45f98a20b279a5491ac6009cca2b2386f9d1b21607"),
+    ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --l-max 8 --num-eigs 8", 0,
+     "2aecfcaf494ba73c34284e8f9ac4f2345e2f08395d194bffac587e849a3a76e9"),
+    ("solve --geometry spherical --dim 2 --aperture 0.002 --elements 32", 0,
+     "f3aee2f5e5064a498e9a6386a588fb543dc510cc8f5546892feebbd1a468319e"),
+    ("sweep --geometry spherical --dim 2 --aperture 0.5:3.0:0.5 --elements 32", 0,
+     "3080d60a6b2e448059bf48be61fbcfe7f63d33f8d7dc5c6a09b52e28fd8668f5"),
+    ("sweep --geometry spherical --dim 5 --aperture 0.4:2.8:0.6 --elements 24 --num-eigs 4", 0,
+     "b1bdd6bcb96d58a02e9cefed51fd6489e2ed9a8d0dc59ccc21485b7484f851aa"),
+    ("identities --geometry spherical --dim 2 --aperture 1.0 --elements 64", 0,
+     "40db775a2bd22eae93ccb3c2a197f9a9e95644d1721e8c298dd8ecf4b7f92502"),
+    ("identities --geometry spherical --dim 4 --aperture 2.0 --elements 32", 0,
+     "7205d189e4ba70e5002eaae3eb2b2530dc1136297ceddcaccedb58b14efa4571"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_output_matches_the_recorded_digest(command, code, digest):
+    rc, out, err = _run(*command.split())
+    assert (rc, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,7 +10,7 @@ from scipy import linalg as sla
 from scipy import special
 
 import capspectra as cs
-from capspectra import _linalg
+from capspectra import _linalg, eigensolve
 
 
 def _random_spd_pencil(rng, size):
@@ -155,6 +155,74 @@ def test_returned_values_lie_inside_their_count_brackets():
     below = _linalg.inertia_counts(*bands, values * (1.0 - slack))
     above = _linalg.inertia_counts(*bands, values * (1.0 + slack))
     assert np.array_equal(below, np.arange(6)) and np.array_equal(above, np.arange(1, 7))
+
+
+def _numpy_banded_solve(factors, X):
+    """The banded solve as one numpy row loop vectorised over the lanes.
+
+    This is the loop ``_linalg._banded_solve`` replaced, kept as the
+    reference its per-lane Python-float loops must match bit for bit.
+    """
+    L, P, R, C = factors
+    n, p, s = L.shape
+    Y = np.zeros((n + 4 * p, s))
+    Y[2 * p : n + 2 * p] = X
+    flat = Y.reshape(-1)
+    swap = (np.arange(2 * p, n + 2 * p)[:, None] + P) * s + np.arange(s)
+    swapped = np.any(P != 0, axis=1).tolist()
+    for i in range(n):
+        r = i + 2 * p
+        if swapped[i]:
+            top = flat[swap[i]]
+            flat[swap[i]] = Y[r]
+            Y[r] = top
+        Y[r + 1 : r + p + 1] -= L[i] * Y[r]
+    for j in range(n - 1, -1, -1):
+        r = j + 2 * p
+        Y[r] *= R[j]
+        Y[r - 2 * p : r] -= C[j] * Y[r]
+    return Y[2 * p : n + 2 * p]
+
+
+def _midpoint_factors(a, b, count):
+    """The banded LU solve_pencil takes, at its bracket midpoints."""
+    counts, positions = _linalg._brackets(a, b, count)
+    lo = counts.shifts[positions]
+    hi = counts.shifts[np.add(positions, 1)]
+    return _linalg._banded_lu(a, b, 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize(
+    "geometry,dim,aperture,l,m,lanes",
+    [
+        ("flat", 2, 1.0, 0, 256, 1),
+        ("spherical", 3, 1.0, 1, 128, 2),
+        ("spherical", 5, 2.5, 3, 64, 6),
+        ("spherical", 2, 3.0, 0, 32, 6),
+    ],
+)
+def test_banded_solve_matches_the_numpy_row_loop_bit_for_bit(geometry, dim, aperture, l, m, lanes):
+    pencil = _sector_pencil(geometry, dim, aperture, l, m)
+    a, b = _linalg.pencil_bands(pencil.A, pencil.B)
+    factors = _midpoint_factors(a, b, lanes)
+    X = np.random.default_rng(lanes).standard_normal((a.shape[1], lanes))
+    got = _linalg._banded_solve(factors, X)
+    want = _numpy_banded_solve(factors, X)
+    assert np.array_equal(got, want)
+    # C order, as the numpy loop returns it: later reductions over the
+    # rows depend on the layout for their rounding
+    assert got.flags["C_CONTIGUOUS"]
+
+
+def test_banded_solve_matches_the_numpy_row_loop_on_a_dense_pencil():
+    # a full pencil (p = n - 1) pivots across the whole window
+    A, B = _random_spd_pencil(np.random.default_rng(41), 23)
+    a, b = _linalg.pencil_bands(A, B)
+    assert a.shape[0] == 23
+    factors = _midpoint_factors(a, b, 5)
+    assert np.any(factors[1] != 0)
+    X = np.random.default_rng(5).standard_normal((23, 5))
+    assert np.array_equal(_linalg._banded_solve(factors, X), _numpy_banded_solve(factors, X))
 
 
 def test_cholesky_and_triangular_solves():
@@ -325,6 +393,71 @@ def test_solve_spectrum_skip_is_exact(geometry, dim, aperture, m, l_max, count):
         pencil = cs.assemble_sector_forms(domain, l, mesh)
         lowest = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert lowest >= tau
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    geometry=st.sampled_from(["spherical", "flat"]),
+    dim=st.integers(2, 5),
+    aperture=st.floats(0.05, 3.0),
+    m=st.integers(4, 32),
+    l=st.integers(1, 8),
+)
+# the smallest ratio of lowest eigenvalue to bound found by a scan, 1.09
+@example(geometry="spherical", dim=5, aperture=3.0, m=32, l=8)
+def test_sector_lower_bound_stays_below_the_sector_pencil(geometry, dim, aperture, m, l):
+    pencil = _sector_pencil(geometry, dim, aperture, l, m)
+    lowest = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert eigensolve._sector_lower_bound(pencil.domain, l) < lowest
+
+
+def test_sector_lower_bound_by_hand():
+    cap = cs.make_cap("spherical", 3, 1.0)
+    assert eigensolve._sector_lower_bound(cap, 2) == pytest.approx(6.0 / np.sin(1.0) ** 2, rel=1e-15)
+    # past a hemisphere, s = 1/sin t is smallest at the equator
+    assert eigensolve._sector_lower_bound(cs.make_cap("spherical", 4, 2.5), 1) == 3.0
+    assert eigensolve._sector_lower_bound(cs.make_cap("flat", 2, 0.5), 3) == 9 / 0.25
+    assert eigensolve._sector_lower_bound(cap, 0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dims,apertures,m,count,assembled",
+    [
+        # the spectra of the benchmark's cap sweeps: 106 of 168 sectors
+        ((2, 3, 4, 5), (0.5, 1.0, 1.5, 2.0, 2.5, 3.0), 64, 6, 106),
+        # the ground states of its identity runs: 20 of 28 sectors
+        ((2, 3, 4, 5), (1.0,), 128, 2, 20),
+    ],
+    ids=["cap_sweep", "identities"],
+)
+def test_solve_spectrum_assembles_no_sector_past_the_tail_bound(monkeypatch, dims, apertures, m, count,
+                                                               assembled):
+    built = []
+    real = eigensolve.assemble_sector_forms
+
+    def counting(domain, l, mesh, quad_order=6):
+        built.append(l)
+        return real(domain, l, mesh, quad_order)
+
+    monkeypatch.setattr(eigensolve, "assemble_sector_forms", counting)
+    l_max = 6
+    total = 0
+    for dim in dims:
+        for aperture in apertures:
+            built.clear()
+            domain = cs.make_cap("spherical", dim, aperture)
+            spectrum, sectors = cs.solve_spectrum(domain, m=m, l_max=l_max, count=count)
+            assert sorted(sectors) == list(range(l_max + 1))
+            # the walk assembled sectors 0..cut - 1, each once, and no later one
+            cut = len(built)
+            assert built == list(range(cut))
+            assert all(sectors[l] == [] for l in range(cut, l_max + 1))
+            tau = spectrum.entries[-1].value
+            shift = tau + _linalg._BRACKET_SLACK * tau
+            if cut <= l_max:
+                assert eigensolve._sector_lower_bound(domain, cut) > shift
+            total += cut
+    assert total == assembled
 
 
 def test_disk_sectors_match_bessel_squares():

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 import capspectra as cs
-from capspectra import fem
+from capspectra import _linalg, fem
 
 
 def test_build_mesh_is_uniform_and_spans_domain():
@@ -84,6 +84,45 @@ def test_assembled_matrices_are_symmetric_and_definite():
         # both forms are positive definite on the constrained space
         assert np.linalg.eigvalsh(pencil.A).min() > 0.0
         assert np.linalg.eigvalsh(pencil.B).min() > 0.0
+
+
+def _dense_reference_forms(pencil):
+    """A and B summed by np.add.at into the full dense matrices, then cut with np.ix_.
+
+    The element matrices come from the pencil's own samples, as the
+    assembly forms them; only the summation and the constraint differ.
+    """
+    samples = pencil.samples
+    Lphi, W = samples.bending, samples.weight
+    Ae = np.einsum("eig,ejg,eg->eij", Lphi, Lphi, W)
+    Be = np.einsum("ig,jg,eg->eij", samples.slope, samples.slope, W) + np.einsum(
+        "ig,jg,eg->eij", samples.value, samples.value, samples.membrane
+    )
+    m = pencil.mesh.num_elements
+    idx = 2 * np.arange(m)[:, None] + np.arange(4)[None, :]
+    free = fem.free_dof_indices(m, pencil.sector.l)
+    forms = []
+    for Ke in (Ae, Be):
+        Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+        K = np.zeros((2 * (m + 1), 2 * (m + 1)))
+        np.add.at(K, (idx[:, :, None], idx[:, None, :]), Ke)
+        forms.append(K[np.ix_(free, free)])
+    return forms
+
+
+@pytest.mark.parametrize("geometry,aperture", [("spherical", 1.3), ("spherical", 2.9), ("flat", 0.8)])
+@pytest.mark.parametrize("m", [4, 5, 17, 64])
+def test_band_scatter_assembly_matches_dense_scatter_bit_for_bit(geometry, aperture, m):
+    for dim in (2, 3, 4, 5):
+        cap = cs.make_cap(geometry, dim, aperture)
+        mesh = cs.build_mesh(cap, m)
+        for l in range(5):
+            pencil = cs.assemble_sector_forms(cap, l, mesh)
+            A, B = _dense_reference_forms(pencil)
+            assert np.array_equal(pencil.A, A) and np.array_equal(pencil.B, B)
+            assert pencil.dof_map == tuple((k // 2, k % 2) for k in fem.free_dof_indices(m, l))
+            a, _ = _linalg.pencil_bands(pencil.A, pencil.B)
+            assert a.shape[0] == 4  # half-bandwidth 3
 
 
 def _profile_for_sector(aperture, l):
