@@ -23,7 +23,7 @@ def sweep(dim):
     print("-" * len(header))
     for ap in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
         domain = cs.make_cap("spherical", dim, ap)
-        spectrum, _ = cs.solve_spectrum(domain, m=96, l_max=4, count=2)
+        spectrum, _ = cs.solve_spectrum(domain, m=96, count=2)
         lam1, lam2 = spectrum.values()[0], spectrum.values()[1]
         print(
             f"{ap:>9.2f} {lam1:>12.5f} {lam2:>12.5f} "
@@ -36,7 +36,7 @@ def sweep(dim):
 def full_report(dim, aperture):
     print(f"complete bound report, n = {dim}, aperture = {aperture}")
     domain = cs.make_cap("spherical", dim, aperture)
-    spectrum, _ = cs.solve_spectrum(domain, m=96, l_max=4, count=4)
+    spectrum, _ = cs.solve_spectrum(domain, m=96, count=4)
     print(f"{'bound':>16} {'k':>4} {'delta':>7} {'lhs':>12} {'rhs':>12} {'slack':>12}")
     for r in cs.bound_report(spectrum):
         k = "" if r.k is None else str(r.k)

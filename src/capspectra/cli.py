@@ -8,10 +8,10 @@ Exit codes: 0 on success, 1 when a checked inequality is violated (a
 bound fails on the computed spectrum, a sweep row breaks monotonicity or
 the lower bound on the first eigenvalue, or an identity check does not
 pass), 2 on configuration or usage errors (an output file that cannot be
-written included), 3 when the solver cannot deliver the requested spectrum
-(truncated sectors, a pencil that is not definite, or an iteration that
-does not converge).  An ``--output`` file is opened only after the run
-succeeds, so a failing run leaves an existing file as it was.
+written included), 3 when the solver fails (a pencil that is not definite,
+or an iteration that does not converge).  An ``--output`` file is opened
+only after the run succeeds, so a failing run leaves an existing file as
+it was.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from . import __version__
 from ._linalg import CholeskyError, ConvergenceError
 from .bounds import bound_report
 from .domain import make_cap
-from .eigensolve import TruncationError, solve_spectrum
+from .eigensolve import solve_spectrum
 from .prooflab import run_identity_suite
 
 _MONOTONE_TOL = 1e-8
 #: most aperture points a sweep may hold; each point is one merged solve
 _MAX_SWEEP_POINTS = 1000
+#: most merged eigenvalues a run may ask for; the sector walk grows with it
+_MAX_EIGS = 1000
 #: bound_report rows tabulated by the sweep, in CSV column order
 _SWEEP_BOUNDS = ("thm_1_1", "cor_1_2", "wang_xia_opt", "hlc_k1")
 
@@ -46,7 +48,6 @@ class RunConfig:
     sweep: tuple[float, ...] | None
     elements: int
     quad_order: int
-    l_max: int
     num_eigs: int
     output: str | None
 
@@ -96,7 +97,6 @@ def _meta(config: RunConfig) -> dict:
         "dim": config.dim,
         "elements": config.elements,
         "quad_order": config.quad_order,
-        "l_max": config.l_max,
         "num_eigs": config.num_eigs,
     }
     if config.sweep is not None:
@@ -132,11 +132,7 @@ def _spectrum(config: RunConfig, aperture: float):
     """The merged spectrum of the configured domain with this aperture."""
     domain = make_cap(config.geometry, config.dim, aperture)
     spectrum, _ = solve_spectrum(
-        domain,
-        m=config.elements,
-        quad_order=config.quad_order,
-        l_max=config.l_max,
-        count=config.num_eigs,
+        domain, m=config.elements, quad_order=config.quad_order, count=config.num_eigs
     )
     return spectrum
 
@@ -194,9 +190,7 @@ def cmd_sweep(config: RunConfig) -> tuple[int, str]:
 
 def cmd_identities(config: RunConfig) -> tuple[int, str]:
     domain = make_cap(config.geometry, config.dim, config.aperture)
-    reports = run_identity_suite(
-        domain, m=config.elements, quad_order=config.quad_order, l_max=config.l_max
-    )
+    reports = run_identity_suite(domain, m=config.elements, quad_order=config.quad_order)
     document = {
         "meta": _meta(config),
         "identities": [
@@ -227,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--aperture", required=True, help=aperture_help)
         p.add_argument("--elements", type=int, default=128)
         p.add_argument("--quad-order", type=int, default=6)
-        p.add_argument("--l-max", type=int, default=6)
         p.add_argument("--num-eigs", type=int, default=6)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -281,8 +274,12 @@ def _config_from_args(args) -> RunConfig:
         aperture = float(args.aperture)
     if args.num_eigs < 2:
         raise ValueError(f"num_eigs must be >= 2 so bounds can be evaluated (got {args.num_eigs})")
+    if args.num_eigs > _MAX_EIGS:
+        raise ValueError(f"num_eigs must be <= {_MAX_EIGS} (got {args.num_eigs})")
     if args.subcommand == "sweep" and args.geometry != "spherical":
         raise ValueError("sweep requires spherical geometry (its columns are cap bounds)")
+    for point in sweep or (aperture,):
+        make_cap(args.geometry, args.dim, point)  # every domain is valid before the first solve
     return RunConfig(
         subcommand=args.subcommand,
         geometry=args.geometry,
@@ -291,7 +288,6 @@ def _config_from_args(args) -> RunConfig:
         sweep=sweep,
         elements=args.elements,
         quad_order=args.quad_order,
-        l_max=args.l_max,
         num_eigs=args.num_eigs,
         output=args.output,
     )
@@ -313,7 +309,7 @@ def main(argv=None, out=None, err=None) -> int:
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except (TruncationError, CholeskyError, ConvergenceError) as exc:
+    except (CholeskyError, ConvergenceError) as exc:
         err.write(f"error: {exc}\n")
         return 3
     if config.output is None:

@@ -50,7 +50,7 @@ class Geometry(str, Enum):
 
 @dataclass(frozen=True)
 class CapDomain:
-    """A clamped cap: geometry, ambient dimension n >= 2, and aperture.
+    """A clamped cap: geometry, ambient dimension 2 <= n <= 16, and aperture.
 
     Immutable after construction.  For spherical geometry the aperture is a
     geodesic radius in (0, pi); for flat geometry any positive radius.
@@ -65,6 +65,8 @@ class CapDomain:
             raise ValueError("dim must be an integer")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2 (got {self.dim})")
+        if self.dim > 16:  # the last dimension surface_area supports
+            raise ValueError(f"dim must be <= 16 (got {self.dim})")
         a = self.aperture
         if not isinstance(a, (int, float)) or isinstance(a, bool) or not math.isfinite(a):
             raise ValueError("aperture must be a finite number")

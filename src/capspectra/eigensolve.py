@@ -18,6 +18,7 @@ spherical caps: the root of a Wronskian of two hypergeometric series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,9 +181,9 @@ def assemble_spectrum(sector_results, count: int | None = None, dim: int | None 
         top_vals = [_entry_value(p) for p in sector_results[l_top]]
         if top_vals and raw[count - 1].value > min(top_vals):
             raise TruncationError(
-                f"spectrum truncated at sector {l_top}: raise l_max (value "
-                f"{raw[count - 1].value:.6g} exceeds that sector's smallest "
-                f"{min(top_vals):.6g})"
+                f"spectrum truncated at sector {l_top}: value {raw[count - 1].value:.6g} "
+                f"exceeds that sector's smallest {min(top_vals):.6g}, so a higher "
+                "sector may hold a lower value"
             )
         raw = raw[:count]
     return Spectrum(entries=tuple(raw), dim=dim, domain=domain)
@@ -219,17 +220,12 @@ def _sector_lower_bound(domain: CapDomain, l: int) -> float:
     return l * (l + domain.dim - 2) * min_s2
 
 
-def solve_spectrum(
-    domain: CapDomain,
-    m: int = 128,
-    quad_order: int = 6,
-    l_max: int = 6,
-    count: int = 6,
-):
-    """The lowest ``count`` merged eigenvalues of sectors 0..l_max; returns (Spectrum, sector dict).
+def solve_spectrum(domain: CapDomain, m: int = 128, quad_order: int = 6, count: int = 6):
+    """The lowest ``count`` merged eigenvalues of the domain; returns (Spectrum, sector dict).
 
-    Sectors are taken in order of l and each pencil is assembled once.
-    Once the values gathered so far (with multiplicities) number at least
+    Sectors are taken in order of l, each pencil assembled once, until a
+    certificate shows that no later sector can reach the head.  Once the
+    values gathered so far (with multiplicities) number at least
     ``count``, let tau be the count-th smallest of them, and shift =
     tau (1 + ``_BRACKET_SLACK``).  A sector all of whose eigenvalues lie
     above shift cannot reach the head: its values would all sort after
@@ -238,29 +234,28 @@ def solve_spectrum(
     quotient.  Such a sector is not solved and maps to an empty list in
     the sector dict.  Two certificates find these sectors:
 
-    * the walk ends at the first l whose ``_sector_lower_bound`` exceeds
-      shift, before that sector is assembled.  The bound rises with l and
-      tau no longer moves, so every later sector is above shift as well,
-      and sectors l..l_max all map to [];
-    * below that l, an LDL^T inertia count (Sylvester's law) of the
+    * the walk ends at the first l, the cut, whose ``_sector_lower_bound``
+      exceeds shift, before that sector is assembled.  The bound rises
+      with l and tau no longer moves, so every later sector is above shift
+      as well.  The dict holds sectors 0..cut, the cut mapping to [];
+    * below the cut, an LDL^T inertia count (Sylvester's law) of the
       assembled pencil at shift says how many of its eigenvalues lie
       below; none means the sector is skipped.
 
     Every other sector is solved as ``solve_sector`` solves it, so the
-    head is the one a solve of every sector would give, and a
-    TruncationError is raised in the same cases.
+    head is the one a solve of every sector would give.  Until the head
+    fills, every sector is solved and adds at least one value; after that,
+    the bound, rising like l^2, passes shift, so the walk always ends.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0 (got {l_max})")
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")
     mesh = build_mesh(domain, m)
     sectors = {}
     head: list[float] = []  # the count smallest values so far, one per copy
-    for l in range(l_max + 1):
+    for l in itertools.count():
         shift = head[-1] + _BRACKET_SLACK * abs(head[-1]) if len(head) == count else None
         if shift is not None and _sector_lower_bound(domain, l) > shift:
-            sectors.update((k, []) for k in range(l, l_max + 1))
+            sectors[l] = []
             break
         sectors[l] = pairs = _pairs_below(domain, l, mesh, quad_order, count, shift)
         mult = harmonic_multiplicity(domain.dim, l)

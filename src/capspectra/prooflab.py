@@ -97,21 +97,20 @@ class RadialEigenfunction:
         return self.area * float(np.dot(np.asarray(values), self.mass))
 
 
-def ground_state(domain: CapDomain, m: int = 128, quad_order: int = 6, l_max: int = 6):
+def ground_state(domain: CapDomain, m: int = 128, quad_order: int = 6):
     """Solve for the cap ground state and return (u1, lam2).
 
-    Takes the two lowest merged eigenvalues of sectors 0..l_max from
-    ``solve_spectrum``, which solves only the sectors that can reach them
-    (sectors 0 and 1 for n = 2..5 at apertures 0.3 to 3.0) and raises
-    TruncationError when the sectors up to l_max cannot certify lam2.
-    Checks that the smallest eigenvalue really lives in the radial sector
-    (the trial construction assumes a radial u_1), and packages the radial
-    profile with its quadrature caches.  lam2 is the second eigenvalue of
+    Takes the two lowest merged eigenvalues from ``solve_spectrum``, which
+    solves only the sectors that can reach them (sectors 0 and 1 for
+    n = 2..5 at apertures 0.3 to 3.0).  Checks that the smallest
+    eigenvalue really lives in the radial sector (the trial construction
+    assumes a radial u_1), and packages the radial profile with its
+    quadrature caches.  lam2 is the second eigenvalue of
     the merged spectrum, multiplicities included.
     """
     if domain.geometry is not Geometry.SPHERICAL:
         raise ValueError("ground_state requires a spherical cap domain")
-    spectrum, sectors = solve_spectrum(domain, m=m, quad_order=quad_order, l_max=l_max, count=2)
+    spectrum, sectors = solve_spectrum(domain, m=m, quad_order=quad_order, count=2)
     first = spectrum.entries[0]
     if first.l != 0:
         raise ValueError(
@@ -393,7 +392,7 @@ def _one_sided(identity_id, computed, closed, tol, strict=False):
     return IdentityReport(identity_id, computed, closed, rel, ok, tol)
 
 
-def run_identity_suite(domain: CapDomain, m: int = 128, quad_order: int = 6, l_max: int = 6):
+def run_identity_suite(domain: CapDomain, m: int = 128, quad_order: int = 6):
     """Evaluate the whole identity chain on a computed cap ground state.
 
     Returns the ten reports in alphabetical identity order.  Only spherical
@@ -401,8 +400,7 @@ def run_identity_suite(domain: CapDomain, m: int = 128, quad_order: int = 6, l_m
     are specific to the sphere, and the closed forms were cross-validated
     in that range), and the mesh must have at least 16 elements so the
     second-derivative quadratures are trustworthy.  The ground state and
-    lam2 come from ``ground_state`` over sectors 0..l_max, so an l_max too
-    small to certify lam2 (l_max = 0) raises TruncationError.
+    lam2 come from ``ground_state``.
     """
     if domain.geometry is not Geometry.SPHERICAL:
         raise ValueError("identities require spherical geometry")
@@ -410,7 +408,7 @@ def run_identity_suite(domain: CapDomain, m: int = 128, quad_order: int = 6, l_m
         raise ValueError(f"identity suite supports dimensions 2..5 (got {domain.dim})")
     if m < 16:
         raise ValueError(f"identity suite needs m >= 16 mesh elements (got {m})")
-    u1, lam2 = ground_state(domain, m=m, quad_order=quad_order, l_max=l_max)
+    u1, lam2 = ground_state(domain, m=m, quad_order=quad_order)
     n = u1.domain.dim
     polar = build_trial(u1, "polar")
 

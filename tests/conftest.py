@@ -36,7 +36,7 @@ def disk256():
 def disk_spectrum():
     """Merged disk spectrum with enough entries for the k-indexed inequalities."""
     disk = cs.make_cap("flat", 2, 1.0)
-    spectrum, _ = cs.solve_spectrum(disk, m=128, l_max=6, count=6)
+    spectrum, _ = cs.solve_spectrum(disk, m=128, count=6)
     return spectrum
 
 
@@ -47,7 +47,7 @@ def cap_sweep():
     for n in (2, 3):
         for ap in APERTURES:
             domain = cs.make_cap("spherical", n, ap)
-            spectrum, _ = cs.solve_spectrum(domain, m=128, l_max=4, count=4)
+            spectrum, _ = cs.solve_spectrum(domain, m=128, count=4)
             out[(n, ap)] = spectrum
     return out
 

@@ -232,7 +232,7 @@ def test_bound_report_spherical_composition(cap_sweep):
 
 def test_bound_report_marks_unavailable_rows_as_skipped():
     disk = cs.make_cap("flat", 2, 1.0)
-    spectrum, _ = cs.solve_spectrum(disk, m=24, l_max=1, count=2)
+    spectrum, _ = cs.solve_spectrum(disk, m=24, count=2)
     reports = cs.bound_report(spectrum)
     by_id = {}
     for r in reports:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import capspectra
-from capspectra import cli
+from capspectra import _linalg, cli, eigensolve, prooflab
 
 
 def _run(*argv):
@@ -21,8 +21,17 @@ def _run(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _failing_pencil_solve(kind):
+    """A stand-in for the sector pencil solve that raises ``kind``."""
+
+    def fail(A, B, count, seed):
+        raise kind(f"{kind.__name__} in the pencil solve")
+
+    return fail
+
+
 SOLVE_ARGS = ("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1.0",
-              "--elements", "48", "--l-max", "2", "--num-eigs", "3")
+              "--elements", "48", "--num-eigs", "3")
 
 
 def test_solve_emits_valid_json_with_expected_layout():
@@ -33,6 +42,7 @@ def test_solve_emits_valid_json_with_expected_layout():
     assert doc["meta"]["tool"] == "capspectra"
     assert doc["meta"]["version"] == capspectra.__version__
     cfg = doc["meta"]["config"]
+    assert set(cfg) == {"subcommand", "geometry", "dim", "elements", "quad_order", "num_eigs", "aperture"}
     assert cfg["subcommand"] == "solve"
     assert cfg["geometry"] == "flat"
     assert cfg["dim"] == 2
@@ -59,7 +69,7 @@ def test_solve_output_is_deterministic():
 
 def test_solve_reproduces_disk_reference_value():
     rc, out, _ = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1.0",
-                      "--elements", "256", "--l-max", "2", "--num-eigs", "2")
+                      "--elements", "256", "--num-eigs", "2")
     assert rc == 0
     doc = json.loads(out)
     assert doc["spectrum"][0]["lambda"] == pytest.approx(14.6819706, rel=1e-6)
@@ -67,7 +77,7 @@ def test_solve_reproduces_disk_reference_value():
 
 def test_solve_spherical_includes_cap_rows():
     rc, out, _ = _run("solve", "--geometry", "spherical", "--dim", "2", "--aperture", "1.0",
-                      "--elements", "48", "--l-max", "2", "--num-eigs", "2")
+                      "--elements", "48", "--num-eigs", "2")
     assert rc == 0
     doc = json.loads(out)
     ids = [row["bound_id"] for row in doc["bounds"]]
@@ -79,7 +89,7 @@ def test_solve_skipped_rows_stay_out_of_the_output():
     # two computed eigenvalues starve the deeper euclidean inequalities, whose
     # rows would hold NaN sides; the writer drops them instead
     rc, out, _ = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1.0",
-                      "--elements", "48", "--l-max", "1", "--num-eigs", "2")
+                      "--elements", "48", "--num-eigs", "2")
     assert rc == 0
     doc = json.loads(out)
     ids = [row["bound_id"] for row in doc["bounds"]]
@@ -119,8 +129,7 @@ def test_solve_exit_one_when_a_bound_fails(monkeypatch):
 
 def test_sweep_csv_layout_and_monotone_column():
     rc, out, err = _run("sweep", "--geometry", "spherical", "--dim", "2",
-                        "--aperture", "0.5:3.0:0.5", "--elements", "48",
-                        "--l-max", "3", "--num-eigs", "2")
+                        "--aperture", "0.5:3.0:0.5", "--elements", "48", "--num-eigs", "2")
     assert rc == 0 and err == ""
     lines = out.strip().splitlines()
     assert lines[0] == ("aperture,lambda1,lambda2,thm11_rhs,cor12_rhs,"
@@ -150,7 +159,7 @@ def test_small_cap_sweep_has_no_inf():
 
 def test_sweep_is_deterministic():
     args = ("sweep", "--geometry", "spherical", "--dim", "3",
-            "--aperture", "1.0:2.0:0.5", "--elements", "32", "--l-max", "2")
+            "--aperture", "1.0:2.0:0.5", "--elements", "32")
     rc1, out1, _ = _run(*args)
     rc2, out2, _ = _run(*args)
     assert rc1 == rc2 == 0 and out1 == out2
@@ -169,21 +178,61 @@ def test_identities_json_layout():
         assert row["pass"] is True
 
 
-def test_identities_use_and_echo_l_max():
-    base = ("identities", "--geometry", "spherical", "--dim", "3", "--aperture", "1.0",
-            "--elements", "32")
-    rc6, out6, _ = _run(*base)
-    rc1, out1, _ = _run(*base, "--l-max", "1")
-    assert rc6 == rc1 == 0
-    doc6, doc1 = json.loads(out6), json.loads(out1)
-    # sectors 0 and 1 already certify lam2, so the rows do not change
-    assert doc1["identities"] == doc6["identities"]
-    assert doc6["meta"]["config"]["l_max"] == 6
-    assert doc1["meta"]["config"]["l_max"] == 1
-    # sector 0 alone cannot certify lam2
-    rc0, out0, err0 = _run(*base, "--l-max", "0")
-    assert rc0 == 3 and out0 == ""
-    assert err0.startswith("error: ") and "raise l_max" in err0
+@pytest.mark.parametrize("subcommand", ["solve", "identities"])
+def test_l_max_flag_exits_two(capsys, subcommand):
+    # the tail bound ends every walk over sectors, so there is no cap to set;
+    # argparse reports the flag on the process stderr
+    rc, out, _ = _run(subcommand, "--geometry", "spherical", "--dim", "3", "--aperture", "1.0",
+                      "--elements", "32", "--l-max", "6")
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --l-max 6" in capsys.readouterr().err
+
+
+def test_more_eigenvalues_than_a_fixed_sector_range_holds():
+    # the 40 lowest disk values reach sector 9, past the sectors 0..6 that
+    # the walk was once capped at
+    rc, out, err = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1",
+                        "--elements", "32", "--num-eigs", "40")
+    assert rc == 0 and err == ""
+    spectrum = json.loads(out)["spectrum"]
+    assert len(spectrum) == 40
+    assert max(row["l"] for row in spectrum) > 6
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make any merged solve fail the test: the run must stop before one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_spectrum was called")
+
+    monkeypatch.setattr(cli, "solve_spectrum", refuse)
+    monkeypatch.setattr(prooflab, "solve_spectrum", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        # the first five points are valid caps; the sixth is not
+        (("sweep", "--geometry", "spherical", "--dim", "2", "--aperture", "0.5:3.5:0.5",
+          "--elements", "256"), "aperture must be < π for spherical caps (got 3.5)"),
+        (("solve", "--geometry", "flat", "--dim", "17", "--aperture", "1", "--elements", "64"),
+         "dim must be <= 16 (got 17)"),
+        (("solve", "--geometry", "flat", "--dim", "40", "--aperture", "1", "--elements", "64"),
+         "dim must be <= 16 (got 40)"),
+        (("sweep", "--geometry", "spherical", "--dim", "17", "--aperture", "0.5:1.0:0.5"),
+         "dim must be <= 16 (got 17)"),
+        (("identities", "--geometry", "spherical", "--dim", "17", "--aperture", "1.0"),
+         "dim must be <= 16 (got 17)"),
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--num-eigs", "1001"),
+         "num_eigs must be <= 1000 (got 1001)"),
+    ],
+    ids=["sweep_aperture", "dim17", "dim40", "sweep_dim17", "identities_dim17", "num_eigs"],
+)
+def test_invalid_runs_exit_two_before_any_solve(no_solve, argv, fragment):
+    rc, out, err = _run(*argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {fragment}\n"
 
 
 def test_sweep_point_limit(monkeypatch):
@@ -221,14 +270,14 @@ def test_unopenable_output_exits_two(tmp_path, where):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "32",
-          "--l-max", "0", "--num-eigs", "4"), 3),
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "32"), 3),
         (("identities", "--geometry", "spherical", "--dim", "2", "--aperture", "1.0",
           "--elements", "8"), 2),
     ],
     ids=["solve", "identities"],
 )
-def test_failing_run_keeps_the_output_file(tmp_path, argv, code):
+def test_failing_run_keeps_the_output_file(tmp_path, monkeypatch, argv, code):
+    monkeypatch.setattr(eigensolve, "solve_pencil", _failing_pencil_solve(_linalg.ConvergenceError))
     target = tmp_path / "run.json"
     target.write_text("an earlier report\n")
     rc, out, err = _run(*argv, "--output", str(target))
@@ -279,15 +328,24 @@ def test_rejected_configurations_exit_two(argv, fragment):
     assert out == ""
 
 
-def test_solver_failure_exits_three():
-    # one sector cannot certify four eigenvalues of the disk: the merge
-    # refuses the truncation, and the CLI reports it instead of raising
-    rc, out, err = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1",
-                        "--elements", "32", "--l-max", "0", "--num-eigs", "4")
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("error: ") and "raise l_max" in err
-    assert err.count("\n") == 1
+def test_solver_failure_exits_three(tmp_path, monkeypatch):
+    # each kind of solver failure, raised inside the sector solve, is one
+    # error line and exit code 3 from every subcommand, never a traceback
+    target = tmp_path / "run.json"
+    target.write_text("an earlier report\n")
+    runs = [
+        ("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "32"),
+        ("sweep", "--geometry", "spherical", "--dim", "2", "--aperture", "0.5:1.0:0.5",
+         "--elements", "32"),
+        ("identities", "--geometry", "spherical", "--dim", "2", "--aperture", "1", "--elements", "32"),
+    ]
+    for kind in (_linalg.ConvergenceError, _linalg.CholeskyError):
+        monkeypatch.setattr(eigensolve, "solve_pencil", _failing_pencil_solve(kind))
+        for argv in runs:
+            rc, out, err = _run(*argv, "--output", str(target))
+            assert (rc, out) == (3, "")
+            assert err == f"error: {kind.__name__} in the pencil solve\n"
+            assert target.read_text() == "an earlier report\n"
 
 
 def test_unknown_subcommand_exits_two():
@@ -317,26 +375,27 @@ def test_module_entry_points_run_the_cli(module):
 
 
 #: SHA-256 of the standard output of each run, with its exit code, as
-#: commit cde1464 printed them (CPython 3.11, numpy 2.4.6, x86-64).  A
+#: commit cde1464 printed them (CPython 3.11, numpy 2.4.6, x86-64), less
+#: the ``"l_max"`` line that the JSON reports' meta.config held then.  A
 #: change that moves any printed digit changes a digest; such a change
 #: updates the digest here on purpose and records the move in CHANGES.md.
 GOLDEN = [
     ("solve --geometry flat --dim 2 --aperture 1.0 --elements 64", 0,
-     "19cdee223044b4260b8cfd7f252eda497cde55b52ebb9b7f34c9dd232e9284e9"),
+     "237a8ec5986dc1dabdf1c8956cc9e8bc059a55fed6d8a6353aff04349fe6ee62"),
     ("solve --geometry flat --dim 5 --aperture 0.7 --elements 32 --num-eigs 10", 0,
-     "fb63beb1aafde73551457f45f98a20b279a5491ac6009cca2b2386f9d1b21607"),
-    ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --l-max 8 --num-eigs 8", 0,
-     "2aecfcaf494ba73c34284e8f9ac4f2345e2f08395d194bffac587e849a3a76e9"),
+     "d297d347f062c738630f0e06d1f693f84f187a5c260585e8ad21da62035ef581"),
+    ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --num-eigs 8", 0,
+     "49b869900733226af0fe11a8a6922869ba2c93f613e18cbdcdafae9267d106f0"),
     ("solve --geometry spherical --dim 2 --aperture 0.002 --elements 32", 0,
-     "f3aee2f5e5064a498e9a6386a588fb543dc510cc8f5546892feebbd1a468319e"),
+     "756a758052fad6826cf893d3ca46440effce867eb1a15f5add5bb00065292ca8"),
     ("sweep --geometry spherical --dim 2 --aperture 0.5:3.0:0.5 --elements 32", 0,
      "3080d60a6b2e448059bf48be61fbcfe7f63d33f8d7dc5c6a09b52e28fd8668f5"),
     ("sweep --geometry spherical --dim 5 --aperture 0.4:2.8:0.6 --elements 24 --num-eigs 4", 0,
      "b1bdd6bcb96d58a02e9cefed51fd6489e2ed9a8d0dc59ccc21485b7484f851aa"),
     ("identities --geometry spherical --dim 2 --aperture 1.0 --elements 64", 0,
-     "40db775a2bd22eae93ccb3c2a197f9a9e95644d1721e8c298dd8ecf4b7f92502"),
+     "6878a4a1b006c16d4028357bcdf089117bf31fa15deb82dfa8a5739397317258"),
     ("identities --geometry spherical --dim 4 --aperture 2.0 --elements 32", 0,
-     "7205d189e4ba70e5002eaae3eb2b2530dc1136297ceddcaccedb58b14efa4571"),
+     "89eed127ae2992df08f50824e8fa76e2822e4c7b66173a5927fa410930b3dd66"),
 ]
 
 

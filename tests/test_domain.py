@@ -28,6 +28,10 @@ def test_make_cap_validation():
         cs.make_cap("flat", 1, 1.0)
     with pytest.raises(ValueError, match="dim must be an integer"):
         cs.make_cap("flat", 2.5, 1.0)
+    # surface_area, which every solve needs, stops at 16
+    with pytest.raises(ValueError, match="dim must be <= 16"):
+        cs.make_cap("flat", 17, 1.0)
+    assert cs.make_cap("spherical", 16, 1.0).dim == 16
     with pytest.raises(ValueError, match="aperture must be positive"):
         cs.make_cap("spherical", 2, 0.0)
     with pytest.raises(ValueError, match="aperture must be positive"):

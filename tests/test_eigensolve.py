@@ -338,17 +338,17 @@ def test_merged_cap_spectrum_matches_oracle(dim, aperture):
     # The m=128 discretization error stays below 1e-8 up to R = 1.5; at
     # R = 2.8 it reaches 1.3e-6 (n = 5, l = 1) and falls 16x per halving of h.
     rel = 1e-8 if aperture < 2.0 else 2e-6
-    l_max = 3
     cap = cs.make_cap("spherical", dim, aperture)
-    spectrum, _ = cs.solve_spectrum(cap, m=128, l_max=l_max, count=6)
+    spectrum, sectors = cs.solve_spectrum(cap, m=128, count=6)
     oracle = functools.lru_cache(maxsize=None)(lambda l, k: cs.cap_eigenvalue(dim, l, aperture, k))
     # each entry is the next value of its sector ...
-    taken = dict.fromkeys(range(l_max + 1), 0)
+    taken = dict.fromkeys(sectors, 0)
     for e in spectrum.entries:
         if e.copy_index == 1:
             taken[e.l] += 1
         assert e.value == pytest.approx(oracle(e.l, taken[e.l]), rel=rel)
-    # ... and no sector holds a value below the head's last that it left out
+    # ... and no sector up to the cut holds a value below the head's last
+    # that it left out
     tau = spectrum.entries[-1].value
     for l, k in taken.items():
         assert oracle(l, k + 1) >= tau * (1.0 - rel)
@@ -360,31 +360,24 @@ def test_merged_cap_spectrum_matches_oracle(dim, aperture):
     dim=st.integers(2, 5),
     aperture=st.floats(0.2, 3.0),
     m=st.sampled_from([16, 24, 32]),
-    l_max=st.integers(0, 6),
     count=st.integers(1, 10),
 )
 # near ties found by a scan over apertures: sector 2's lowest value sits
 # 0.08% below the tau of sectors 0 and 1; sector 3's sits 0.15% above tau
-@example(geometry="spherical", dim=5, aperture=2.9, m=16, l_max=3, count=7)
-@example(geometry="spherical", dim=2, aperture=2.1, m=16, l_max=4, count=8)
-def test_solve_spectrum_skip_is_exact(geometry, dim, aperture, m, l_max, count):
-    # solve_spectrum against a solve of every sector: the same head, bit for
-    # bit, or the same TruncationError
+@example(geometry="spherical", dim=5, aperture=2.9, m=16, count=7)
+@example(geometry="spherical", dim=2, aperture=2.1, m=16, count=8)
+def test_solve_spectrum_skip_is_exact(geometry, dim, aperture, m, count):
+    # the walk against a solve of every sector up to its cut: the same head,
+    # bit for bit, and the cut's tail bound above the shift
     domain = cs.make_cap(geometry, dim, aperture)
-    every = {l: cs.solve_sector(domain, l, m=m, count=count) for l in range(l_max + 1)}
-    try:
-        want = cs.assemble_spectrum(every, count=count).entries
-    except cs.TruncationError as exc:
-        want = str(exc)
-    try:
-        spectrum, sectors = cs.solve_spectrum(domain, m=m, l_max=l_max, count=count)
-    except cs.TruncationError as exc:
-        assert str(exc) == want
-        return
-    assert spectrum.entries == want
-    # solved sectors are solve_sector's; a skipped one has nothing below tau
-    assert sorted(sectors) == list(range(l_max + 1))
+    spectrum, sectors = cs.solve_spectrum(domain, m=m, count=count)
+    cut = max(sectors)
+    assert sorted(sectors) == list(range(cut + 1))
+    every = {l: cs.solve_sector(domain, l, m=m, count=count) for l in range(cut + 1)}
+    assert spectrum.entries == cs.assemble_spectrum(every, count=count).entries
     tau = spectrum.entries[-1].value
+    assert eigensolve._sector_lower_bound(domain, cut) > tau + _linalg._BRACKET_SLACK * tau
+    # solved sectors are solve_sector's; a skipped one has nothing below tau
     mesh = cs.build_mesh(domain, m)
     for l, pairs in sectors.items():
         if pairs:
@@ -409,6 +402,30 @@ def test_sector_lower_bound_stays_below_the_sector_pencil(geometry, dim, apertur
     pencil = _sector_pencil(geometry, dim, aperture, l, m)
     lowest = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert eigensolve._sector_lower_bound(pencil.domain, l) < lowest
+
+
+def _cap_lambda1(dim, aperture, m):
+    spectrum, _ = cs.solve_spectrum(cs.make_cap("spherical", dim, aperture), m=m, count=1)
+    return spectrum.entries[0].value
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(2, 5),
+    aperture=st.floats(0.05, 3.0 / 1.05),
+    wider=st.floats(0.0, 1.0),
+    m=st.sampled_from([16, 24, 32]),
+)
+# the flattest end of the range, the extremes of a scan over n, R and m:
+# lam1(3) - 5 = 2.9e-4 and lam1(3) / lam1(3 / 1.05) = 0.9984
+@example(dim=5, aperture=3.0 / 1.05, wider=0.0, m=32)
+def test_cap_lambda1_exceeds_n_and_falls_with_the_aperture(dim, aperture, wider, m):
+    # R' = larger runs from 1.05 R to 3
+    larger = 1.05 * aperture + wider * (3.0 - 1.05 * aperture)
+    lam1 = _cap_lambda1(dim, aperture, m)
+    lam1_larger = _cap_lambda1(dim, larger, m)
+    assert lam1 > dim and lam1_larger > dim
+    assert lam1_larger < lam1
 
 
 def test_sector_lower_bound_by_hand():
@@ -440,22 +457,18 @@ def test_solve_spectrum_assembles_no_sector_past_the_tail_bound(monkeypatch, dim
         return real(domain, l, mesh, quad_order)
 
     monkeypatch.setattr(eigensolve, "assemble_sector_forms", counting)
-    l_max = 6
     total = 0
     for dim in dims:
         for aperture in apertures:
             built.clear()
             domain = cs.make_cap("spherical", dim, aperture)
-            spectrum, sectors = cs.solve_spectrum(domain, m=m, l_max=l_max, count=count)
-            assert sorted(sectors) == list(range(l_max + 1))
+            spectrum, sectors = cs.solve_spectrum(domain, m=m, count=count)
             # the walk assembled sectors 0..cut - 1, each once, and no later one
             cut = len(built)
             assert built == list(range(cut))
-            assert all(sectors[l] == [] for l in range(cut, l_max + 1))
+            assert sorted(sectors) == list(range(cut + 1)) and sectors[cut] == []
             tau = spectrum.entries[-1].value
-            shift = tau + _linalg._BRACKET_SLACK * tau
-            if cut <= l_max:
-                assert eigensolve._sector_lower_bound(domain, cut) > shift
+            assert eigensolve._sector_lower_bound(domain, cut) > tau + _linalg._BRACKET_SLACK * tau
             total += cut
     assert total == assembled
 
@@ -517,7 +530,7 @@ def test_spectrum_merge_orders_ties_by_sector():
 def test_spectrum_merge_guard_raises_on_shallow_tail():
     # the requested depth reaches past the smallest value of the top sector,
     # so eigenvalues of unsolved sectors could be missing from the head
-    with pytest.raises(cs.TruncationError, match="raise l_max"):
+    with pytest.raises(cs.TruncationError, match="truncated at sector 1"):
         cs.assemble_spectrum({0: [1.0, 5.0], 1: [3.0]}, count=4, dim=2)
     # a request that stops exactly at the top sector's smallest value is safe:
     # nothing below it can be missing
@@ -541,8 +554,9 @@ def test_spectrum_merge_validation():
 
 def test_solve_spectrum_degeneracy_on_two_sphere():
     cap = cs.make_cap("spherical", 3, 1.0)
-    spectrum, sectors = cs.solve_spectrum(cap, m=48, l_max=3, count=4)
-    assert sorted(sectors) == [0, 1, 2, 3]
+    spectrum, sectors = cs.solve_spectrum(cap, m=48, count=4)
+    # sectors 0 and 1 hold the head; the counts skip 2..4 and the tail bound cuts 5
+    assert {l: len(pairs) for l, pairs in sectors.items()} == {0: 4, 1: 4, 2: 0, 3: 0, 4: 0, 5: 0}
     values = spectrum.values()
     assert len(values) == 4
     assert list(values) == sorted(values)

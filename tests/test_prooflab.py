@@ -212,10 +212,10 @@ def test_polar_shift_second_derivative_probe(dim):
 
 def test_ground_state_normalization_and_ordering():
     domain = cs.make_cap("spherical", 2, 1.0)
-    u1, lam2 = prooflab.ground_state(domain, m=32, l_max=3)
+    u1, lam2 = prooflab.ground_state(domain, m=32)
     assert u1.integrate(u1.g1**2) == pytest.approx(1.0, rel=1e-12)
     assert u1.lam1 < lam2
-    spectrum, _ = cs.solve_spectrum(domain, m=32, l_max=3, count=2)
+    spectrum, _ = cs.solve_spectrum(domain, m=32, count=2)
     assert u1.lam1 == pytest.approx(spectrum.values()[0], rel=1e-13)
     assert lam2 == pytest.approx(spectrum.values()[1], rel=1e-13)
 
@@ -262,14 +262,13 @@ def test_ground_state_solves_only_the_sectors_that_reach_lambda2(monkeypatch, n)
 
 
 def test_ground_state_radial_check_outlives_the_truncation_check(monkeypatch):
-    """lam1 outside sector 0, with that sector solved at l_max, raises ValueError.
+    """lam1 outside sector 0 raises ValueError after the merge passes its checks.
 
     No cap puts lam1 outside sector 0, so sector 0's quotients are lifted
-    by hand.  The truncation check of the merged head looks at sector
-    l_max, which here holds lam1 itself: its copies (multiplicity n >= 2)
-    fill the head, the check passes, and the radial check raises the same
-    ValueError as before.  Only an l_max too small to certify lam2 raises
-    TruncationError.
+    by hand.  Sector 1 then holds lam1 itself: its copies (multiplicity
+    n >= 2) fill the head, the tail bound cuts the walk above it, the
+    truncation check of the merged head passes on the empty cut sector,
+    and the radial check raises.
     """
     real = cs.eigensolve.rayleigh_quotient
 
@@ -279,9 +278,7 @@ def test_ground_state_radial_check_outlives_the_truncation_check(monkeypatch):
     monkeypatch.setattr(cs.eigensolve, "rayleigh_quotient", lifted)
     domain = cs.make_cap("spherical", 2, 1.0)
     with pytest.raises(ValueError, match="lies in harmonic sector 1"):
-        prooflab.ground_state(domain, m=32, l_max=1)
-    with pytest.raises(cs.TruncationError, match="raise l_max"):
-        prooflab.ground_state(domain, m=32, l_max=0)
+        prooflab.ground_state(domain, m=32)
 
 
 def test_ground_state_rejects_flat_domains():
