@@ -14,11 +14,17 @@ every Hermite-cubic sector pencil) and never forms a dense factor:
     inverse iteration for the eigenvectors -> Rayleigh quotients, gated by
     their residual and their count brackets.
 
-Each pass of the count and of the factorization is one Python loop over
-rows, vectorised over the shifts with numpy.  The solves run one
-right-hand side at a time on Python floats (``_banded_solve``), which is
-cheaper for the few right-hand sides a sector solve has and gives the same
-bits.  The counts certify the index of every returned eigenvalue.
+Only the multisection count passes, of a hundred or so shifts each, are
+numpy loops over rows vectorised over the shifts.  The few-shift work runs
+one shift at a time on Python floats, where a numpy row step would cost
+as much for one shift as for a hundred: the single-shift counts (the
+sector skip in ``eigensolve``), the LU at the bracket midpoints and its
+solves.  Pencils of half-bandwidth at most 3, every sector pencil among
+them, take unrolled kernels (``_narrow_count``, ``_narrow_lu``,
+``_narrow_solve``); wider ones keep the numpy LU and count and the
+generic per-shift solve ``_banded_solve``.  Every path gives the bits of
+the numpy row loop.  The counts certify the index of every returned
+eigenvalue.
 
 The dense chain
 
@@ -371,19 +377,245 @@ def _ldl_pivots(a, b, alpha, sigma):
     return D
 
 
+def _numpy_counts(a, b, shifts):
+    D = _ldl_pivots(a, b, np.ones_like(shifts), shifts)
+    if not np.all(np.isfinite(D)):
+        raise ConvergenceError("LDL^T inertia count broke down on a singular leading block")
+    return np.count_nonzero(D < 0.0, axis=0)
+
+
 def inertia_counts(a, b, shifts):
     """Number of pencil eigenvalues below each shift (Sylvester's law).
 
     ``a`` and ``b`` are the bands from ``pencil_bands``.  The count at
     sigma is the number of negative pivots in the LDL^T factorization of
     A - sigma B.  A non-finite pivot (the factorization broke down on an
-    exactly singular leading block) raises ConvergenceError.
+    exactly singular leading block) raises ConvergenceError.  A single
+    shift on a pencil of half-bandwidth at most 3 is counted on Python
+    floats (``_narrow_count``), with the same result.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    D = _ldl_pivots(a, b, np.ones_like(shifts), shifts)
-    if not np.all(np.isfinite(D)):
-        raise ConvergenceError("LDL^T inertia count broke down on a singular leading block")
-    return np.count_nonzero(D < 0.0, axis=0)
+    if shifts.size == 1 and _narrow(a):
+        return np.array([_narrow_count(a, b, float(shifts[0]))], dtype=np.intp)
+    return _numpy_counts(a, b, shifts)
+
+
+# ---------------------------------------------------------------------------
+# One-shift kernels for half-bandwidth <= 3
+#
+# A numpy row step costs about the same for one shift as for a hundred, so
+# the few-shift factorizations run one shift at a time on Python floats,
+# with the window of the row loop unrolled into local variables.  Each
+# kernel does the multiplies, divides and subtractions of its numpy loop
+# in the same order, so pivots, counts, factors and solves agree bit for
+# bit.  Python raises ZeroDivisionError where numpy yields inf or nan; a
+# kernel that meets a zero pivot, or a non-finite value, hands that shift
+# to the numpy loop instead.
+# ---------------------------------------------------------------------------
+
+
+def _narrow(a):
+    """Whether the one-shift kernels take bands ``a``: p <= 3 and n >= 4."""
+    return a.shape[0] <= 4 <= a.shape[1]
+
+
+def _diagonals(a, b, sigma):
+    """Lists e[k] of the k-th superdiagonal of A - sigma B, k = 0..3.
+
+    e[k][j] is element (j, j + k), zero past the matrix and for k > p.
+    """
+    n, p = a.shape[1], a.shape[0] - 1
+    return [
+        (a[k, : n - k] - b[k, : n - k] * sigma).tolist() + [0.0] * k if k <= p else [0.0] * n
+        for k in range(4)
+    ]
+
+
+def _narrow_count(a, b, sigma):
+    """``inertia_counts`` at one shift, for p <= 3, on Python floats.
+
+    The LDL^T pass of ``_ldl_pivots`` with the bands zero-padded to p = 3.
+    Only row 0 of the window is read as a pivot row, so only the upper
+    triangle w_rc (r <= c) is kept; padding adds exact zeros, so the
+    pivots are those of the unpadded pass.
+    """
+    e0, e1, e2, e3 = _diagonals(a, b, sigma)
+    # step i shifts in column i + 4, elements (i + 1 .. i + 4, i + 4);
+    # past n that column is the identity padding
+    incoming = zip(e3[1:] + [0.0], e2[2:] + [0.0] * 2, e1[3:] + [0.0] * 3, e0[4:] + [1.0] * 4)
+    w00, w01, w02, w03 = e0[0], e1[0], e2[0], e3[0]
+    w11, w12, w13 = e0[1], e1[1], e2[1]
+    w22, w23 = e0[2], e1[2]
+    w33 = e0[3]
+    negative = 0
+    total = 0.0
+    try:
+        for c0, c1, c2, c3 in incoming:
+            if w00 < 0.0:
+                negative += 1
+            total += w00
+            r1 = w01 / w00
+            r2 = w02 / w00
+            r3 = w03 / w00
+            w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = (
+                w11 - r1 * w01, w12 - r1 * w02, w13 - r1 * w03, c0,
+                w22 - r2 * w02, w23 - r2 * w03, c1,
+                w33 - r3 * w03, c2,
+                c3,
+            )
+    except ZeroDivisionError:
+        total = math.nan
+    if not math.isfinite(total):
+        # a zero pivot, or a non-finite one (a finite sum that overflowed
+        # lands here too): the numpy pass decides
+        return int(_numpy_counts(a, b, np.array([sigma]))[0])
+    return negative
+
+
+def _narrow_lu_one(a, b, sigma):
+    """``_banded_lu`` of A - sigma B at one shift, for p <= 3, or None.
+
+    Returns (offsets, multipliers, reciprocals, upper), sequences of
+    Python numbers: per row i the offset P[i] of the row swapped into place
+    and the multipliers L[i] (three sequences); the reciprocal pivots; and,
+    for back substitution by columns from the last, the entries U[j - c, c]
+    of column j, c = 1..6 (six sequences, last column first).  Returns
+    None where a pivot is zero or a multiplier is not finite.
+
+    The window holds rows i .. i + 3 of the active matrix in columns
+    i .. i + 6 (x_rc).  Rows 0..2 are zero in column 6, which the numpy
+    loop never writes for them; row 3 is the next original row.
+    """
+    e0, e1, e2, e3 = _diagonals(a, b, sigma)
+    n = len(e0)
+    # row i + 4 of A - sigma B in columns i + 1 .. i + 7, identity past n
+    tail = [0.0] * 4
+    incoming = zip(
+        e3[1:] + [0.0],
+        e2[2:] + [0.0] * 2,
+        e1[3:] + [0.0] * 3,
+        e0[4:] + [1.0] * 4,
+        e1[4:] + tail,
+        e2[4:] + tail,
+        e3[4:] + tail,
+    )
+    x00, x01, x02, x03, x04, x05 = e0[0], e1[0], e2[0], e3[0], 0.0, 0.0
+    x10, x11, x12, x13, x14, x15 = e1[0], e0[1], e1[1], e2[1], e3[1], 0.0
+    x20, x21, x22, x23, x24, x25 = e2[0], e1[1], e0[2], e1[2], e2[2], e3[2]
+    x30, x31, x32, x33, x34, x35, x36 = e3[0], e2[1], e1[2], e0[3], e1[3], e2[3], e3[3]
+    rows = []
+    keep = rows.append
+    try:
+        for c0, c1, c2, c3, c4, c5, c6 in incoming:
+            # the first row of largest |x_r0| is the pivot row
+            piv, big = 0, abs(x00)
+            if abs(x10) > big:
+                piv, big = 1, abs(x10)
+            if abs(x20) > big:
+                piv, big = 2, abs(x20)
+            if abs(x30) > big:
+                piv = 3
+            if piv == 0:
+                u0, u1, u2, u3, u4, u5, u6 = x00, x01, x02, x03, x04, x05, 0.0
+            elif piv == 1:
+                u0, u1, u2, u3, u4, u5, u6 = x10, x11, x12, x13, x14, x15, 0.0
+                x10, x11, x12, x13, x14, x15 = x00, x01, x02, x03, x04, x05
+            elif piv == 2:
+                u0, u1, u2, u3, u4, u5, u6 = x20, x21, x22, x23, x24, x25, 0.0
+                x20, x21, x22, x23, x24, x25 = x00, x01, x02, x03, x04, x05
+            else:
+                u0, u1, u2, u3, u4, u5, u6 = x30, x31, x32, x33, x34, x35, x36
+                x30, x31, x32, x33, x34, x35, x36 = x00, x01, x02, x03, x04, x05, 0.0
+            m1 = x10 / u0
+            m2 = x20 / u0
+            m3 = x30 / u0
+            keep((piv, m1, m2, m3, u0, u1, u2, u3, u4, u5, u6))
+            x00, x01, x02 = x11 - m1 * u1, x12 - m1 * u2, x13 - m1 * u3
+            x03, x04, x05 = x14 - m1 * u4, x15 - m1 * u5, 0.0 - m1 * u6
+            x10, x11, x12 = x21 - m2 * u1, x22 - m2 * u2, x23 - m2 * u3
+            x13, x14, x15 = x24 - m2 * u4, x25 - m2 * u5, 0.0 - m2 * u6
+            x20, x21, x22 = x31 - m3 * u1, x32 - m3 * u2, x33 - m3 * u3
+            x23, x24, x25 = x34 - m3 * u4, x35 - m3 * u5, x36 - m3 * u6
+            x30, x31, x32, x33, x34, x35, x36 = c0, c1, c2, c3, c4, c5, c6
+    except ZeroDivisionError:
+        return None
+    offsets, m1s, m2s, m3s, pivots, *diagonals = zip(*rows)
+    # a non-finite multiplier marks a nan or inf in the pivot column, where
+    # numpy's argmax and these comparisons may pick different rows (a finite
+    # sum that overflows only costs a needless numpy pass)
+    if not math.isfinite(sum(m1s) + sum(m2s) + sum(m3s)):
+        return None
+    reciprocals = [1.0 / u0 for u0 in reversed(pivots)]
+    # column j holds U[j - c, c]: diagonal c shifted down by c; the rows
+    # above row 0 it reaches are never read
+    upper = [((0.0,) * c + u)[n - 1 :: -1] for c, u in enumerate(diagonals, 1)]
+    return offsets, (m1s, m2s, m3s), reciprocals, upper
+
+
+def _narrow_factors(L, P, R, C, k):
+    """Shift k of ``_banded_lu``'s factors (p = 3) in ``_narrow_lu_one``'s layout."""
+    upper = [C[:, 6 - c, k][::-1].tolist() for c in range(1, 7)]
+    return P[:, k].tolist(), tuple(L[:, r, k].tolist() for r in range(3)), R[::-1, k].tolist(), upper
+
+
+def _padded(a, b):
+    """Bands a, b with zero rows appended up to p = 3."""
+    pad = np.zeros((4 - a.shape[0], a.shape[1]))
+    return np.vstack([a, pad]), np.vstack([b, pad])
+
+
+def _narrow_lu(a, b, shifts):
+    """LU with partial pivoting of A - sigma B for each shift, for p <= 3.
+
+    One ``_narrow_lu_one`` per shift, on the bands zero-padded to p = 3;
+    a shift it declines is factored by ``_banded_lu`` instead.  The
+    factors equal ``_banded_lu``'s on the padded bands bit for bit.
+    """
+    factors = []
+    for k, sigma in enumerate(shifts.tolist()):
+        one = _narrow_lu_one(a, b, sigma)
+        if one is None:
+            a4, b4 = _padded(a, b)
+            one = _narrow_factors(*_banded_lu(a4, b4, shifts[k : k + 1]), 0)
+        factors.append(one)
+    return factors
+
+
+def _narrow_solve(factors, X):
+    """``_banded_solve`` on ``_narrow_lu`` factors: one column of X per shift.
+
+    Forward elimination keeps rows i .. i + 3 of y in a window; back
+    substitution runs by columns from the last, keeping the six rows above
+    each column.  Same operations, in the same order, as the numpy loop.
+    """
+    n, s = X.shape
+    Y = np.empty((n, s))
+    for k, (offsets, (m1s, m2s, m3s), reciprocals, upper) in enumerate(factors):
+        x = X[:, k].tolist()
+        y0, y1, y2 = x[0], x[1], x[2]
+        forward = []
+        for d, m1, m2, m3, y3 in zip(offsets, m1s, m2s, m3s, x[3:] + [0.0] * 3):
+            if d:
+                if d == 1:
+                    y0, y1 = y1, y0
+                elif d == 2:
+                    y0, y2 = y2, y0
+                else:
+                    y0, y3 = y3, y0
+            forward.append(y0)
+            y0, y1, y2 = y1 - m1 * y0, y2 - m2 * y0, y3 - m3 * y0
+        # z_t is row j - t at column j; rows above row 0 only collect
+        # discarded updates
+        z0, z1, z2, z3, z4, z5, z6 = (forward[n - 1 - t] if t < n else 0.0 for t in range(7))
+        back = []
+        for r, c1, c2, c3, c4, c5, c6, fresh in zip(reciprocals, *upper, forward[-8::-1] + [0.0] * 7):
+            xj = z0 * r
+            back.append(xj)
+            z0, z1, z2, z3, z4, z5 = z1 - c1 * xj, z2 - c2 * xj, z3 - c3 * xj, z4 - c4 * xj, z5 - c5 * xj, z6 - c6 * xj
+            z6 = fresh
+        back.reverse()
+        Y[:, k] = back
+    return Y
 
 
 def _banded_lu(a, b, shifts):
@@ -441,8 +673,9 @@ def _banded_solve(factors, X):
     the Python-float loops cost per lane.  Measured with CPython 3.11 on
     one Xeon core, they are five times as fast for one lane at N = 1023
     (2.0-2.7 ms against 12-13 ms), three times for two lanes at N = 255,
-    and break even near six lanes at N = 127.  A sector solve has
-    ``count`` lanes: two in ``identities``, six by default elsewhere.
+    and break even near six lanes at N = 127.  Sector pencils (p = 3) now
+    go to ``_narrow_solve``, twice as fast again; this loop serves the
+    wider pencils of the tests and of the public API.
     """
     L, P, R, C = factors
     n, p, s = L.shape
@@ -612,20 +845,23 @@ def solve_pencil(A, B, count, seed=201):
     lo = counts.shifts[positions]
     hi = counts.shifts[np.add(positions, 1)]
     shifts = 0.5 * (lo + hi)
-    factors = _banded_lu(a, b, shifts)
+    if _narrow(a):
+        factors, solve = _narrow_lu(a, b, shifts), _narrow_solve
+    else:
+        factors, solve = _banded_lu(a, b, shifts), _banded_solve
     clusters = [[i for i in range(count) if positions[i] == j] for j in sorted(set(positions))]
     clusters = [members for members in clusters if len(members) > 1]
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, count))
     BZ = _band_matvec(b, Z)
     for step in range(_BANDED_PASSES):
-        Z = _banded_solve(factors, BZ)
+        Z = solve(factors, BZ)
         if step == _BANDED_PASSES - 1:
             # The solve leaves rounding noise of relative size up to 1e-4
             # across the other modes on the finest meshes (whose Rayleigh
             # quotient then drifts by 1e-8); one step of refinement in
             # working precision removes it.
-            Z += _banded_solve(factors, BZ - _band_matvec(a, Z) + shifts * _band_matvec(b, Z))
+            Z += solve(factors, BZ - _band_matvec(a, Z) + shifts * _band_matvec(b, Z))
         for members in clusters:
             _b_orthogonalize(b, Z, members)
         BZ = _band_matvec(b, Z)

@@ -8,10 +8,11 @@ Exit codes: 0 on success, 1 when a checked inequality is violated (a
 bound fails on the computed spectrum, a sweep row breaks monotonicity or
 the lower bound on the first eigenvalue, or an identity check does not
 pass), 2 on configuration or usage errors (an output file that cannot be
-written included), 3 when the solver fails (a pencil that is not definite,
-or an iteration that does not converge).  An ``--output`` file is opened
-only after the run succeeds, so a failing run leaves an existing file as
-it was.
+written, a ``--quad-order`` above 64, and an aperture or mesh whose
+arithmetic overflows double precision included), 3 when the solver fails
+(a pencil that is not definite, or an iteration that does not converge).
+An ``--output`` file is opened only after the run succeeds, so a failing
+run leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _MONOTONE_TOL = 1e-8
 _MAX_SWEEP_POINTS = 1000
 #: most merged eigenvalues a run may ask for; the sector walk grows with it
 _MAX_EIGS = 1000
+#: most Gauss points per element; the rule's companion matrix grows as its square
+_MAX_QUAD_ORDER = 64
 #: bound_report rows tabulated by the sweep, in CSV column order
 _SWEEP_BOUNDS = ("thm_1_1", "cor_1_2", "wang_xia_opt", "hlc_k1")
 
@@ -276,6 +279,8 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"num_eigs must be >= 2 so bounds can be evaluated (got {args.num_eigs})")
     if args.num_eigs > _MAX_EIGS:
         raise ValueError(f"num_eigs must be <= {_MAX_EIGS} (got {args.num_eigs})")
+    if args.quad_order > _MAX_QUAD_ORDER:
+        raise ValueError(f"quad_order must be <= {_MAX_QUAD_ORDER} (got {args.quad_order})")
     if args.subcommand == "sweep" and args.geometry != "spherical":
         raise ValueError("sweep requires spherical geometry (its columns are cap bounds)")
     for point in sweep or (aperture,):
@@ -308,6 +313,10 @@ def main(argv=None, out=None, err=None) -> int:
         code, text = handlers[config.subcommand](config)
     except ValueError as exc:
         err.write(f"error: {exc}\n")
+        return 2
+    except OverflowError as exc:
+        # Python float arithmetic raises where numpy would give inf
+        err.write(f"error: arithmetic overflowed double precision ({exc.args[-1] if exc.args else exc})\n")
         return 2
     except (CholeskyError, ConvergenceError) as exc:
         err.write(f"error: {exc}\n")

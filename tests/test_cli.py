@@ -226,13 +226,23 @@ def no_solve(monkeypatch):
          "dim must be <= 16 (got 17)"),
         (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--num-eigs", "1001"),
          "num_eigs must be <= 1000 (got 1001)"),
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--quad-order", "65"),
+         "quad_order must be <= 64 (got 65)"),
     ],
-    ids=["sweep_aperture", "dim17", "dim40", "sweep_dim17", "identities_dim17", "num_eigs"],
+    ids=["sweep_aperture", "dim17", "dim40", "sweep_dim17", "identities_dim17", "num_eigs", "quad_order"],
 )
 def test_invalid_runs_exit_two_before_any_solve(no_solve, argv, fragment):
     rc, out, err = _run(*argv)
     assert (rc, out) == (2, "")
     assert err == f"error: {fragment}\n"
+
+
+def test_overflowing_aperture_exits_two():
+    # h**2 overflows while the mesh is built: a usage error, not a traceback
+    rc, out, err = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1e300",
+                        "--elements", "8")
+    assert (rc, out) == (2, "")
+    assert err == "error: arithmetic overflowed double precision (Numerical result out of range)\n"
 
 
 def test_sweep_point_limit(monkeypatch):

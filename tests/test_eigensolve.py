@@ -1,6 +1,7 @@
 """Eigensolver, Bessel oracle, and spectrum merging."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,12 +185,34 @@ def _numpy_banded_solve(factors, X):
     return Y[2 * p : n + 2 * p]
 
 
-def _midpoint_factors(a, b, count):
-    """The banded LU solve_pencil takes, at its bracket midpoints."""
+def _midpoint_shifts(a, b, count):
+    """The shifts solve_pencil factors at: its bracket midpoints."""
     counts, positions = _linalg._brackets(a, b, count)
     lo = counts.shifts[positions]
     hi = counts.shifts[np.add(positions, 1)]
-    return _linalg._banded_lu(a, b, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
+
+
+def _midpoint_factors(a, b, count):
+    """The banded LU solve_pencil takes, at its bracket midpoints."""
+    return _linalg._banded_lu(a, b, _midpoint_shifts(a, b, count))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_narrow_factors_match(narrow, factors):
+    """The p <= 3 kernel's factors equal _banded_lu's (p = 3) bit for bit."""
+    L, P, R, C = factors
+    assert len(narrow) == P.shape[1]
+    for k, (offsets, multipliers, reciprocals, upper) in enumerate(narrow):
+        assert list(offsets) == P[:, k].tolist()
+        for r in range(3):
+            assert np.array_equal(_bits(multipliers[r]), _bits(L[:, r, k]))
+        assert np.array_equal(_bits(reciprocals), _bits(R[::-1, k]))
+        for c in range(1, 7):
+            assert np.array_equal(_bits(upper[c - 1]), _bits(C[::-1, 6 - c, k]))
 
 
 @pytest.mark.parametrize(
@@ -199,18 +222,30 @@ def _midpoint_factors(a, b, count):
         ("spherical", 3, 1.0, 1, 128, 2),
         ("spherical", 5, 2.5, 3, 64, 6),
         ("spherical", 2, 3.0, 0, 32, 6),
+        ("flat", 3, 1.0, 1, 4, 2),
+        ("spherical", 4, 1.5, 2, 4, 1),
+        ("flat", 2, 1.0, 2, 512, 6),
+        ("spherical", 3, 2.0, 0, 512, 2),
     ],
 )
 def test_banded_solve_matches_the_numpy_row_loop_bit_for_bit(geometry, dim, aperture, l, m, lanes):
     pencil = _sector_pencil(geometry, dim, aperture, l, m)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
-    factors = _midpoint_factors(a, b, lanes)
+    shifts = _midpoint_shifts(a, b, lanes)
+    factors = _linalg._banded_lu(a, b, shifts)
     X = np.random.default_rng(lanes).standard_normal((a.shape[1], lanes))
     got = _linalg._banded_solve(factors, X)
     want = _numpy_banded_solve(factors, X)
     assert np.array_equal(got, want)
     # C order, as the numpy loop returns it: later reductions over the
     # rows depend on the layout for their rounding
+    assert got.flags["C_CONTIGUOUS"]
+    # the half-bandwidth-3 kernels solve_pencil takes on sector pencils
+    assert a.shape[0] == 4 and _linalg._narrow(a)
+    narrow = _linalg._narrow_lu(a, b, shifts)
+    _assert_narrow_factors_match(narrow, factors)
+    got = _linalg._narrow_solve(narrow, X)
+    assert np.array_equal(_bits(got), _bits(want))
     assert got.flags["C_CONTIGUOUS"]
 
 
@@ -223,6 +258,91 @@ def test_banded_solve_matches_the_numpy_row_loop_on_a_dense_pencil():
     assert np.any(factors[1] != 0)
     X = np.random.default_rng(5).standard_normal((23, 5))
     assert np.array_equal(_linalg._banded_solve(factors, X), _numpy_banded_solve(factors, X))
+
+
+def _band_pencil(seed, n, p):
+    """A random SPD pencil of half-bandwidth p, with its bands."""
+    rng = np.random.default_rng(seed)
+    mask = np.triu(np.tril(np.ones((n, n)), 0), -p)
+    factors = [rng.standard_normal((n, n)) * mask + 2.0 * np.eye(n) for _ in range(2)]
+    A, B = (f @ f.T for f in factors)
+    a, b = _linalg.pencil_bands(A, B)
+    assert a.shape[0] == p + 1
+    return A, B, a, b
+
+
+def _numpy_count(a, b, sigma):
+    """The count at sigma from _ldl_pivots, or the error inertia_counts raises."""
+    D = _linalg._ldl_pivots(a, b, np.ones(1), np.array([sigma]))
+    if not np.all(np.isfinite(D)):
+        return "LDL^T inertia count broke down on a singular leading block"
+    return int(np.count_nonzero(D < 0.0))
+
+
+def _kernel_count(a, b, sigma):
+    try:
+        return _linalg._narrow_count(a, b, sigma)
+    except _linalg.ConvergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 24),
+    p=st.integers(0, 3),
+    shifts=st.lists(st.floats(-5.0, 60.0), min_size=1, max_size=6),
+    scale=st.sampled_from([1.0, 1e307]),
+)
+# shift 4 makes the first pivot 4 - 4 * 1 exactly zero: A = 4 I, B = I
+# (seed None), so both the LDL^T count and the LU divide by zero
+@example(seed=None, n=5, p=1, shifts=[4.0], scale=1.0)
+@example(seed=None, n=6, p=0, shifts=[4.0, 1.0], scale=1.0)
+# near the top of the double range the updates overflow and leave a nan
+# below the pivot row, which numpy's argmax picks and a comparison does not
+@example(seed=8, n=8, p=3, shifts=[1.0], scale=1e307)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def test_narrow_kernels_match_the_numpy_loops_on_random_band_pencils(seed, n, p, shifts, scale):
+    if seed is None:
+        a = np.zeros((p + 1, n))
+        b = np.zeros((p + 1, n))
+        a[0], b[0] = 4.0, 1.0
+    else:
+        _, _, a, b = _band_pencil(seed, n, p)
+    a = a * scale
+    shifts = np.array(shifts)
+    for sigma in shifts.tolist():
+        assert _kernel_count(a, b, sigma) == _numpy_count(a, b, sigma)
+    factors = _linalg._banded_lu(*_linalg._padded(a, b), shifts)
+    narrow = _linalg._narrow_lu(a, b, shifts)
+    _assert_narrow_factors_match(narrow, factors)
+    X = np.random.default_rng(n).standard_normal((n, shifts.size))
+    want = _numpy_banded_solve(factors, X)
+    got = _linalg._narrow_solve(narrow, X)
+    # a singular shift leaves inf and nan in the same places, so
+    # solve_pencil raises the same ConvergenceError on either path
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(_bits(got[np.isfinite(want)]), _bits(want[np.isfinite(want)]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 24), p=st.integers(0, 3), count=st.integers(1, 4))
+def test_solve_pencil_is_the_same_on_the_narrow_kernels_and_the_numpy_loops(seed, n, p, count):
+    A, B, _, _ = _band_pencil(seed, n, p)
+
+    def outcome():
+        try:
+            return cs.solve_pencil(A, B, count=count, seed=seed % 1000)
+        except _linalg.ConvergenceError as exc:
+            return str(exc)
+
+    got = outcome()
+    with mock.patch.object(_linalg, "_narrow", lambda a: False):
+        want = outcome()
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
 
 
 def test_cholesky_and_triangular_solves():
