@@ -14,17 +14,18 @@ every Hermite-cubic sector pencil) and never forms a dense factor:
     inverse iteration for the eigenvectors -> Rayleigh quotients, gated by
     their residual and their count brackets.
 
-Only the multisection count passes, of a hundred or so shifts each, are
-numpy loops over rows vectorised over the shifts.  The few-shift work runs
-one shift at a time on Python floats, where a numpy row step would cost
-as much for one shift as for a hundred: the single-shift counts (the
-sector skip in ``eigensolve``), the LU at the bracket midpoints and its
-solves.  Pencils of half-bandwidth at most 3, every sector pencil among
-them, take unrolled kernels (``_narrow_count``, ``_narrow_lu``,
-``_narrow_solve``); wider ones keep the numpy LU and count and the
-generic per-shift solve ``_banded_solve``.  Every path gives the bits of
-the numpy row loop.  The counts certify the index of every returned
-eigenvalue.
+Only the first count pass (the ladder, which also factors B) and the
+passes that widen it are numpy loops over rows vectorised over the
+shifts.  The rest runs one shift at a time on Python floats, where a
+numpy row step would cost as much for one shift as for a hundred: the
+single-shift counts (the sector skip in ``eigensolve``, and the bisection
+that finds where the counts change inside each multisection bracket), the
+LU at the bracket midpoints and its solves.  Pencils of half-bandwidth
+at most 3, every sector pencil among them, take unrolled kernels
+(``_narrow_count``, ``_narrow_lu``, ``_narrow_solve``); wider ones keep
+the numpy LU and count, one shift at a time, and the generic per-shift
+solve ``_banded_solve``.  Every path gives the bits of the numpy row
+loop.  The counts certify the index of every returned eigenvalue.
 
 The dense chain
 
@@ -654,10 +655,11 @@ def _banded_lu(a, b, shifts):
             np.subtract(W[1:, 1:], mult[:, None, :] * U[i, None, 1:], out=spare[:p, : 2 * p])
             spare[p] = rows[i + p + 1]
             W, spare = spare, W
+        R = 1.0 / U[:, 0]
     C = np.zeros((n, 2 * p, s))
     for c in range(1, min(2 * p, n - 1) + 1):
         C[c:, 2 * p - c] = U[: n - c, c]
-    return L, P, 1.0 / U[:, 0], C
+    return L, P, R, C
 
 
 def _banded_solve(factors, X):
@@ -753,6 +755,33 @@ def _interior(lo, hi, k):
     return pts[(pts > lo) & (pts < hi)]
 
 
+def _bisected_counts(a, b, shifts, c_lo, c_hi):
+    """Counts at sorted ``shifts`` that lie between two shifts counting c_lo <= c_hi.
+
+    Counts rise with the shift, so a run of shifts whose end counts agree
+    takes that count unfactored; any other run has its middle shift counted
+    alone and both halves bisected.  With k = c_hi - c_lo eigenvalues in
+    the bracket, that is at most k ceil(log2(s + 1)) one-shift counts for s
+    shifts.  A count outside its run's end counts raises ConvergenceError.
+    """
+    counts = np.empty(shifts.size, dtype=np.intp)
+    runs = [(0, shifts.size, c_lo, c_hi)]
+    while runs:
+        start, stop, lo, hi = runs.pop()
+        if lo == hi:
+            counts[start:stop] = lo
+            continue
+        if start == stop:
+            continue
+        mid = (start + stop) // 2
+        c = int(inertia_counts(a, b, shifts[mid : mid + 1])[0])
+        if not lo <= c <= hi:
+            raise ConvergenceError("inertia counts are not monotone in the shift")
+        counts[mid] = c
+        runs += [(start, mid, lo, c), (mid + 1, stop, c, hi)]
+    return counts
+
+
 def _brackets(a, b, count):
     """Certified brackets of the lowest ``count`` eigenvalues, by multisection.
 
@@ -765,6 +794,15 @@ def _brackets(a, b, count):
     for an unresolved cluster, its width is below ``_CLUSTER_RTOL``.
     Returns (counts, positions): the evaluated shifts and, for each index
     i < count, the position of its bracket.
+
+    The ladder and widening passes count every shift in one numpy pass.
+    A splitting pass only needs to know where the counts change inside
+    each bracket, so ``_bisected_counts`` finds them with one-shift counts
+    and gives every other shift the count of its neighbours; each count is
+    the one a full pass would give, bit for bit, as long as that pass is
+    monotone and finite.  A splitting pass therefore checks monotonicity
+    and finite pivots only at the shifts it factors, where a full pass
+    checked all of them.
     """
     scale = float(np.max(np.abs(a[0]))) / max(float(np.max(np.abs(b[0]))), _EPS)
     scale = scale if scale > 0.0 else 1.0
@@ -796,10 +834,14 @@ def _brackets(a, b, count):
             if not todo:
                 return counts, [counts.bracket(i) for i in range(count)]
             share = max(_PASS_SHIFTS // len(todo), 3)
-            new = np.concatenate([_interior(counts.shifts[j], counts.shifts[j + 1], share) for j in todo])
+            runs = [(_interior(counts.shifts[j], counts.shifts[j + 1], share), j) for j in todo]
+            new = np.concatenate([run for run, _ in runs])
             if new.size == 0:
                 # every open bracket is already as narrow as doubles allow
                 return counts, [counts.bracket(i) for i in range(count)]
+            found = [_bisected_counts(a, b, run, counts.counts[j], counts.counts[j + 1]) for run, j in runs]
+            counts.add(new, np.concatenate(found))
+            continue
         counts.add(new, inertia_counts(a, b, new))
     raise ConvergenceError(f"multisection did not settle within {_MAX_COUNT_PASSES} count passes")
 

@@ -1,6 +1,7 @@
 """Eigensolver, Bessel oracle, and spectrum merging."""
 
 import functools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -132,12 +133,89 @@ def test_solve_pencil_repeat_calls_are_bit_identical():
 
 
 def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
-    # a count that falls as the shift rises cannot come from a definite pencil
+    # a count that falls as the shift rises cannot come from a definite pencil:
+    # one-shift counts of 0 fall below the lower end count of the second
+    # eigenvalue's bracket
     real = _linalg.inertia_counts
-    monkeypatch.setattr(_linalg, "inertia_counts", lambda a, b, shifts: real(a, b, shifts)[::-1])
+
+    def falling(a, b, shifts):
+        counts = real(a, b, shifts)
+        return counts if counts.size > 1 else np.zeros_like(counts)
+
+    monkeypatch.setattr(_linalg, "inertia_counts", falling)
     pencil = _sector_pencil("flat", 2, 1.0, 0, 16)
     with pytest.raises(_linalg.ConvergenceError, match="monotone"):
         cs.solve_pencil(pencil.A, pencil.B, count=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    geometry=st.sampled_from(["flat", "spherical"]),
+    dim=st.integers(2, 5),
+    aperture=st.floats(0.2, 3.0),
+    l=st.integers(0, 3),
+    m=st.sampled_from([8, 16, 32]),
+    count=st.integers(1, 6),
+)
+def test_bisected_counts_match_full_numpy_passes(geometry, dim, aperture, l, m, count):
+    # the bisection stores, at every shift of a multisection pass, the count
+    # a numpy pass over all of that pass's shifts gives
+    pencil = _sector_pencil(geometry, dim, aperture, l, m)
+    a, b = _linalg.pencil_bands(pencil.A, pencil.B)
+    counts, positions = _linalg._brackets(a, b, count)
+
+    def full(a, b, shifts, c_lo, c_hi):
+        return _linalg._numpy_counts(a, b, shifts)
+
+    with mock.patch.object(_linalg, "_bisected_counts", full):
+        want, want_positions = _linalg._brackets(a, b, count)
+    assert np.array_equal(_bits(counts.shifts), _bits(want.shifts))
+    assert np.array_equal(counts.counts, want.counts)
+    assert positions == want_positions
+    assert np.array_equal(counts.counts, _linalg._numpy_counts(a, b, counts.shifts))
+
+
+def test_bisected_counts_stay_within_their_budget():
+    # a run of s new shifts inside a bracket of k eigenvalues costs at most
+    # k ceil(log2(s + 1)) one-shift counts; the ladder and widening passes none
+    pencil = _sector_pencil("spherical", 3, 1.5, 1, 64)
+    a, b = _linalg.pencil_bands(pencil.A, pencil.B)
+    calls, runs, passes = [0], [], []
+    real_count, real_bisect, real_add = _linalg._narrow_count, _linalg._bisected_counts, _linalg._Counts.add
+
+    def counting(*args):
+        calls[0] += 1
+        return real_count(*args)
+
+    def bisect(a, b, shifts, c_lo, c_hi):
+        runs.append((int(c_hi - c_lo), shifts.size))
+        return real_bisect(a, b, shifts, c_lo, c_hi)
+
+    def add(self, shifts, counts):
+        passes.append((calls[0], list(runs)))
+        calls[0] = 0
+        runs.clear()
+        real_add(self, shifts, counts)
+
+    with (
+        mock.patch.object(_linalg, "_narrow_count", counting),
+        mock.patch.object(_linalg, "_bisected_counts", bisect),
+        mock.patch.object(_linalg._Counts, "add", add),
+    ):
+        _linalg._brackets(a, b, 6)
+    assert passes[0] == (0, [])
+    for used, pass_runs in passes:
+        assert used <= sum(k * int(np.ceil(np.log2(s + 1))) for k, s in pass_runs)
+    assert sum(used for used, _ in passes) > 0
+
+
+def test_banded_lu_zero_pivot_leaves_no_warning():
+    # diag(1..5) - 3 I has an exactly zero third pivot: its reciprocal is inf,
+    # computed inside the same errstate as the elimination
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, R, _ = _linalg._banded_lu(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]), np.ones((1, 5)), np.array([3.0]))
+    assert R[2, 0] == np.inf
 
 
 def test_solve_pencil_rejects_value_outside_its_bracket(monkeypatch):
