@@ -9,23 +9,22 @@ inspectable.
 every Hermite-cubic sector pencil) and never forms a dense factor:
 
     LDL^T of A - sigma B over a batch of shifts -> inertia counts
-    (Sylvester's law) -> multisection brackets of the lowest eigenvalues
+    (Sylvester's law) -> bisection brackets of the lowest eigenvalues
     -> banded LU with partial pivoting at the bracket midpoints -> seeded
     inverse iteration for the eigenvectors -> Rayleigh quotients, gated by
     their residual and their count brackets.
 
 Only the first count pass (the ladder, which also factors B) and the
 passes that widen it are numpy loops over rows vectorised over the
-shifts.  The rest runs one shift at a time on Python floats, where a
-numpy row step would cost as much for one shift as for a hundred: the
-single-shift counts (the sector skip in ``eigensolve``, and the bisection
-that finds where the counts change inside each multisection bracket), the
-LU at the bracket midpoints and its solves.  Pencils of half-bandwidth
-at most 3, every sector pencil among them, take unrolled kernels
-(``_narrow_count``, ``_narrow_lu``, ``_narrow_solve``); wider ones keep
-the numpy LU and count, one shift at a time, and the generic per-shift
-solve ``_banded_solve``.  Every path gives the bits of the numpy row
-loop.  The counts certify the index of every returned eigenvalue.
+shifts.  The rest runs one shift at a time, where a numpy row step would
+cost as much for one shift as for a hundred: the single-shift counts
+(the sector skip in ``eigensolve``, and the midpoint that bisects each
+open bracket), the LU at the bracket midpoints and its solves.  Pencils
+of half-bandwidth at most 3, every sector pencil among them, take
+kernels unrolled on Python floats (``_narrow_count``, ``_narrow_lu``,
+``_narrow_solve``); wider ones keep the numpy count, LU and solve
+(``_banded_solve``).  Every path gives the bits of the numpy row loop.
+The counts certify the index of every returned eigenvalue.
 
 The dense chain
 
@@ -75,9 +74,7 @@ _CONTRACTION = 1e-3
 #: relative width below which a bracket holding several eigenvalues is
 #: accepted as one cluster
 _CLUSTER_RTOL = 1e-10
-#: shifts spent per multisection pass, shared among the open brackets
-_PASS_SHIFTS = 128
-#: count passes allowed before multisection counts as stalled
+#: count passes allowed before bisection counts as stalled
 _MAX_COUNT_PASSES = 60
 #: banded inverse-iteration solves per eigenvector
 _BANDED_PASSES = 4
@@ -665,50 +662,32 @@ def _banded_lu(a, b, shifts):
 def _banded_solve(factors, X):
     """Solve (A - sigma_j B) x_j = X[:, j] for every shift j of ``factors``.
 
-    Forward elimination replays the row swaps; back substitution runs by
-    columns, subtracting each solved x_j from the 2p rows above it.
-
-    Each right-hand side ("lane") runs on its own, on Python floats: the
-    same multiplies and subtractions in the same order as a numpy row loop
-    vectorised over the lanes, so the result is the same bit for bit.  A
-    numpy row step costs about 13 us however many lanes it carries, while
-    the Python-float loops cost per lane.  Measured with CPython 3.11 on
-    one Xeon core, they are five times as fast for one lane at N = 1023
-    (2.0-2.7 ms against 12-13 ms), three times for two lanes at N = 255,
-    and break even near six lanes at N = 127.  Sector pencils (p = 3) now
-    go to ``_narrow_solve``, twice as fast again; this loop serves the
-    wider pencils of the tests and of the public API.
+    One numpy row loop vectorised over the shifts.  Forward elimination
+    replays the row swaps; back substitution runs by columns, subtracting
+    each solved x_j from the 2p rows above it.  Sector pencils (p = 3) go
+    to ``_narrow_solve`` instead; this loop serves the wider pencils of
+    the tests and of the public API.
     """
     L, P, R, C = factors
     n, p, s = L.shape
-    Y = np.empty((n, s))
-    pad = [0.0] * (2 * p)
-    for k in range(s):
-        multipliers, offsets = L[:, :, k].tolist(), P[:, k].tolist()
-        reciprocals, above = R[:, k].tolist(), C[:, :, k].tolist()
-        # rows 0 .. 2p - 1 and n + 2p .. n + 4p - 1 of y are padding
-        y = pad + X[:, k].tolist() + pad
-        r = 2 * p
-        for i in range(n):
-            d = offsets[i]
-            if d:
-                y[r], y[r + d] = y[r + d], y[r]
-            yr = y[r]
-            q = r + 1
-            for factor in multipliers[i]:
-                y[q] -= factor * yr
-                q += 1
-            r += 1
-        for j in range(n - 1, -1, -1):
-            r -= 1
-            yr = y[r] * reciprocals[j]
-            y[r] = yr
-            q = r - 2 * p
-            for entry in above[j]:
-                y[q] -= entry * yr
-                q += 1
-        Y[:, k] = y[2 * p : n + 2 * p]
-    return Y
+    # rows 0 .. 2p - 1 and n + 2p .. n + 4p - 1 of Y are padding
+    Y = np.zeros((n + 4 * p, s))
+    Y[2 * p : n + 2 * p] = X
+    flat = Y.reshape(-1)
+    swap = (np.arange(2 * p, n + 2 * p)[:, None] + P) * s + np.arange(s)
+    swapped = np.any(P != 0, axis=1).tolist()
+    for i in range(n):
+        r = i + 2 * p
+        if swapped[i]:
+            top = flat[swap[i]]
+            flat[swap[i]] = Y[r]
+            Y[r] = top
+        Y[r + 1 : r + p + 1] -= L[i] * Y[r]
+    for j in range(n - 1, -1, -1):
+        r = j + 2 * p
+        Y[r] *= R[j]
+        Y[r - 2 * p : r] -= C[j] * Y[r]
+    return Y[2 * p : n + 2 * p]
 
 
 class _Counts:
@@ -745,45 +724,8 @@ class _Counts:
         return 0.5 * (hi - lo) / min(mid - below, above - mid)
 
 
-def _interior(lo, hi, k):
-    """k shifts strictly inside (lo, hi), geometric when 0 < lo < hi / 4."""
-    t = np.arange(1, k + 1) / (k + 1)
-    if lo > 0.0 and hi > 4.0 * lo:
-        pts = lo * (hi / lo) ** t
-    else:
-        pts = lo + (hi - lo) * t
-    return pts[(pts > lo) & (pts < hi)]
-
-
-def _bisected_counts(a, b, shifts, c_lo, c_hi):
-    """Counts at sorted ``shifts`` that lie between two shifts counting c_lo <= c_hi.
-
-    Counts rise with the shift, so a run of shifts whose end counts agree
-    takes that count unfactored; any other run has its middle shift counted
-    alone and both halves bisected.  With k = c_hi - c_lo eigenvalues in
-    the bracket, that is at most k ceil(log2(s + 1)) one-shift counts for s
-    shifts.  A count outside its run's end counts raises ConvergenceError.
-    """
-    counts = np.empty(shifts.size, dtype=np.intp)
-    runs = [(0, shifts.size, c_lo, c_hi)]
-    while runs:
-        start, stop, lo, hi = runs.pop()
-        if lo == hi:
-            counts[start:stop] = lo
-            continue
-        if start == stop:
-            continue
-        mid = (start + stop) // 2
-        c = int(inertia_counts(a, b, shifts[mid : mid + 1])[0])
-        if not lo <= c <= hi:
-            raise ConvergenceError("inertia counts are not monotone in the shift")
-        counts[mid] = c
-        runs += [(start, mid, lo, c), (mid + 1, stop, c, hi)]
-    return counts
-
-
 def _brackets(a, b, count):
-    """Certified brackets of the lowest ``count`` eigenvalues, by multisection.
+    """Certified brackets of the lowest ``count`` eigenvalues, by bisection.
 
     The first pass counts on a geometric ladder of shifts of both signs
     around the diagonal scale and factors B itself (CholeskyError unless
@@ -796,13 +738,10 @@ def _brackets(a, b, count):
     i < count, the position of its bracket.
 
     The ladder and widening passes count every shift in one numpy pass.
-    A splitting pass only needs to know where the counts change inside
-    each bracket, so ``_bisected_counts`` finds them with one-shift counts
-    and gives every other shift the count of its neighbours; each count is
-    the one a full pass would give, bit for bit, as long as that pass is
-    monotone and finite.  A splitting pass therefore checks monotonicity
-    and finite pivots only at the shifts it factors, where a full pass
-    checked all of them.
+    A splitting pass counts one shift per open bracket, on its own: the
+    geometric midpoint when 0 < lo < hi / 4, the arithmetic one otherwise.
+    A bracket with no double strictly inside stays as it is.  Every stored
+    count is factored.
     """
     scale = float(np.max(np.abs(a[0]))) / max(float(np.max(np.abs(b[0]))), _EPS)
     scale = scale if scale > 0.0 else 1.0
@@ -822,28 +761,23 @@ def _brackets(a, b, count):
         elif hi_count < count:
             new = counts.shifts[-1] + max(abs(counts.shifts[-1]), scale) * _LADDER[-1] / _LADDER
         else:
-            positions = sorted({counts.bracket(i) for i in range(count)})
-            todo = []
-            for j in positions:
-                lo, hi = counts.shifts[j], counts.shifts[j + 1]
-                q = counts.contraction(j)
+            mids = []
+            for j in sorted({counts.bracket(i) for i in range(count)}):
+                lo, hi = float(counts.shifts[j]), float(counts.shifts[j + 1])
                 isolated = counts.counts[j + 1] - counts.counts[j] == 1
                 narrow = hi - lo <= _CLUSTER_RTOL * max(abs(lo), abs(hi))
-                if q > _CONTRACTION or not (isolated or narrow):
-                    todo.append(j)
-            if not todo:
+                if counts.contraction(j) <= _CONTRACTION and (isolated or narrow):
+                    continue
+                mid = lo * math.sqrt(hi / lo) if 0.0 < lo < hi / 4.0 else 0.5 * (lo + hi)
+                if lo < mid < hi:
+                    mids.append(mid)
+            if not mids:
+                # every bracket is settled or as narrow as doubles allow
                 return counts, [counts.bracket(i) for i in range(count)]
-            share = max(_PASS_SHIFTS // len(todo), 3)
-            runs = [(_interior(counts.shifts[j], counts.shifts[j + 1], share), j) for j in todo]
-            new = np.concatenate([run for run, _ in runs])
-            if new.size == 0:
-                # every open bracket is already as narrow as doubles allow
-                return counts, [counts.bracket(i) for i in range(count)]
-            found = [_bisected_counts(a, b, run, counts.counts[j], counts.counts[j + 1]) for run, j in runs]
-            counts.add(new, np.concatenate(found))
+            counts.add(np.array(mids), np.concatenate([inertia_counts(a, b, [mid]) for mid in mids]))
             continue
         counts.add(new, inertia_counts(a, b, new))
-    raise ConvergenceError(f"multisection did not settle within {_MAX_COUNT_PASSES} count passes")
+    raise ConvergenceError(f"bisection did not settle within {_MAX_COUNT_PASSES} count passes")
 
 
 def _b_orthogonalize(b, Z, members):
@@ -931,6 +865,7 @@ def solve_pencil(A, B, count, seed=201):
             raise ConvergenceError(f"eigenpair {i} residual {resid_rel[i]:.3e} exceeds {tol[i]:.1e}")
         if not lo[i] - _BRACKET_SLACK * abs(lo[i]) <= values[i] <= hi[i] + _BRACKET_SLACK * abs(hi[i]):
             raise ConvergenceError(
-                f"eigenvalue {i} = {values[i]!r} lies outside its count bracket [{lo[i]!r}, {hi[i]!r}]"
+                f"eigenvalue {i} = {float(values[i])!r} lies outside its count bracket "
+                f"[{float(lo[i])!r}, {float(hi[i])!r}]"
             )
     return values, Z

@@ -8,7 +8,8 @@ Exit codes: 0 on success, 1 when a checked inequality is violated (a
 bound fails on the computed spectrum, a sweep row breaks monotonicity or
 the lower bound on the first eigenvalue, or an identity check does not
 pass), 2 on configuration or usage errors (an output file that cannot be
-written, a ``--quad-order`` above 64, and an aperture or mesh whose
+written, a ``--quad-order`` above 64, an ``--elements`` above 4096 (the
+dense sector pencil grows as its square), and an aperture or mesh whose
 arithmetic overflows double precision included), 3 when the solver fails
 (a pencil that is not definite, or an iteration that does not converge).
 An ``--output`` file is opened only after the run succeeds, so a failing
@@ -36,6 +37,8 @@ _MAX_SWEEP_POINTS = 1000
 _MAX_EIGS = 1000
 #: most Gauss points per element; the rule's companion matrix grows as its square
 _MAX_QUAD_ORDER = 64
+#: most mesh elements; the dense sector pencil grows as the square of the mesh
+_MAX_ELEMENTS = 4096
 #: bound_report rows tabulated by the sweep, in CSV column order
 _SWEEP_BOUNDS = ("thm_1_1", "cor_1_2", "wang_xia_opt", "hlc_k1")
 
@@ -281,6 +284,8 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"num_eigs must be <= {_MAX_EIGS} (got {args.num_eigs})")
     if args.quad_order > _MAX_QUAD_ORDER:
         raise ValueError(f"quad_order must be <= {_MAX_QUAD_ORDER} (got {args.quad_order})")
+    if args.elements > _MAX_ELEMENTS:
+        raise ValueError(f"elements must be <= {_MAX_ELEMENTS} (got {args.elements})")
     if args.subcommand == "sweep" and args.geometry != "spherical":
         raise ValueError("sweep requires spherical geometry (its columns are cap bounds)")
     for point in sweep or (aperture,):

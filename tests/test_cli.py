@@ -228,8 +228,11 @@ def no_solve(monkeypatch):
          "num_eigs must be <= 1000 (got 1001)"),
         (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--quad-order", "65"),
          "quad_order must be <= 64 (got 65)"),
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "4097"),
+         "elements must be <= 4096 (got 4097)"),
     ],
-    ids=["sweep_aperture", "dim17", "dim40", "sweep_dim17", "identities_dim17", "num_eigs", "quad_order"],
+    ids=["sweep_aperture", "dim17", "dim40", "sweep_dim17", "identities_dim17", "num_eigs", "quad_order",
+         "elements"],
 )
 def test_invalid_runs_exit_two_before_any_solve(no_solve, argv, fragment):
     rc, out, err = _run(*argv)
@@ -384,28 +387,29 @@ def test_module_entry_points_run_the_cli(module):
     assert failing.returncode == 2 and failing.stdout == ""
 
 
-#: SHA-256 of the standard output of each run, with its exit code, as
-#: commit cde1464 printed them (CPython 3.11, numpy 2.4.6, x86-64), less
-#: the ``"l_max"`` line that the JSON reports' meta.config held then.  A
-#: change that moves any printed digit changes a digest; such a change
-#: updates the digest here on purpose and records the move in CHANGES.md.
+#: SHA-256 of the standard output of each run, with its exit code
+#: (CPython 3.11, numpy 2.4.6, x86-64), recorded when the bracket search
+#: became plain bisection: its midpoints moved the printed values at the
+#: rounding floor of the inverse-iteration vectors.  A change that moves
+#: any printed digit changes a digest; such a change updates the digest
+#: here on purpose and records the move in CHANGES.md.
 GOLDEN = [
     ("solve --geometry flat --dim 2 --aperture 1.0 --elements 64", 0,
-     "237a8ec5986dc1dabdf1c8956cc9e8bc059a55fed6d8a6353aff04349fe6ee62"),
+     "774be8039151fb34eb9a67f656bb28c4bc8cee1c3ba6f5cea3154fc874258a1c"),
     ("solve --geometry flat --dim 5 --aperture 0.7 --elements 32 --num-eigs 10", 0,
-     "d297d347f062c738630f0e06d1f693f84f187a5c260585e8ad21da62035ef581"),
+     "7502c2c32a01d60b036f754e3061d8e2eef1a19cad9103c45fcf92daa5bc0df3"),
     ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --num-eigs 8", 0,
-     "49b869900733226af0fe11a8a6922869ba2c93f613e18cbdcdafae9267d106f0"),
+     "e13f3c95d41ea5cc5b7553fb46070334686fdb779fb5a4238ee4d86118e689ff"),
     ("solve --geometry spherical --dim 2 --aperture 0.002 --elements 32", 0,
-     "756a758052fad6826cf893d3ca46440effce867eb1a15f5add5bb00065292ca8"),
+     "58e4c88dbe3504bac3cf2b33e7d93e35da8db2844a873f270434a437d9f51ae4"),
     ("sweep --geometry spherical --dim 2 --aperture 0.5:3.0:0.5 --elements 32", 0,
-     "3080d60a6b2e448059bf48be61fbcfe7f63d33f8d7dc5c6a09b52e28fd8668f5"),
+     "4278076d5045d457818afb4041fd13056e403e2dada594aa3f52b2cbecc5b3ff"),
     ("sweep --geometry spherical --dim 5 --aperture 0.4:2.8:0.6 --elements 24 --num-eigs 4", 0,
-     "b1bdd6bcb96d58a02e9cefed51fd6489e2ed9a8d0dc59ccc21485b7484f851aa"),
+     "659dfbb4cb8ad173959b215e7719c9f27afa902fc62bbc2bfe3f81de19692207"),
     ("identities --geometry spherical --dim 2 --aperture 1.0 --elements 64", 0,
-     "6878a4a1b006c16d4028357bcdf089117bf31fa15deb82dfa8a5739397317258"),
+     "274021cb86280d1bb4808d79ba43cd15295b6a87280c0276c3309b91ce1c6601"),
     ("identities --geometry spherical --dim 4 --aperture 2.0 --elements 32", 0,
-     "89eed127ae2992df08f50824e8fa76e2822e4c7b66173a5927fa410930b3dd66"),
+     "8af6e2a52fca364ef4b7095cf35504d6aba416fb846f7caf7d75dcdcf87870ee"),
 ]
 
 

@@ -148,6 +148,15 @@ def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
         cs.solve_pencil(pencil.A, pencil.B, count=3)
 
 
+def _settled(counts, j):
+    """Whether bracket j meets the stopping rule of _brackets' splitting passes."""
+    lo, hi = counts.shifts[j], counts.shifts[j + 1]
+    isolated = counts.counts[j + 1] - counts.counts[j] == 1
+    narrow = hi - lo <= _linalg._CLUSTER_RTOL * max(abs(lo), abs(hi))
+    resolved = counts.contraction(j) <= _linalg._CONTRACTION and (isolated or narrow)
+    return bool(resolved or np.nextafter(lo, hi) == hi)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     geometry=st.sampled_from(["flat", "spherical"]),
@@ -157,56 +166,54 @@ def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
     m=st.sampled_from([8, 16, 32]),
     count=st.integers(1, 6),
 )
-def test_bisected_counts_match_full_numpy_passes(geometry, dim, aperture, l, m, count):
-    # the bisection stores, at every shift of a multisection pass, the count
-    # a numpy pass over all of that pass's shifts gives
+def test_bracket_counts_are_factored_and_every_bracket_is_settled(geometry, dim, aperture, l, m, count):
+    # every stored count is the count a numpy pass gives at its shift, and
+    # the bisection stops only where the stopping rule holds
     pencil = _sector_pencil(geometry, dim, aperture, l, m)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
     counts, positions = _linalg._brackets(a, b, count)
-
-    def full(a, b, shifts, c_lo, c_hi):
-        return _linalg._numpy_counts(a, b, shifts)
-
-    with mock.patch.object(_linalg, "_bisected_counts", full):
-        want, want_positions = _linalg._brackets(a, b, count)
-    assert np.array_equal(_bits(counts.shifts), _bits(want.shifts))
-    assert np.array_equal(counts.counts, want.counts)
-    assert positions == want_positions
     assert np.array_equal(counts.counts, _linalg._numpy_counts(a, b, counts.shifts))
+    for i, j in enumerate(positions):
+        assert counts.counts[j] <= i < counts.counts[j + 1]
+        assert _settled(counts, j)
 
 
-def test_bisected_counts_stay_within_their_budget():
-    # a run of s new shifts inside a bracket of k eigenvalues costs at most
-    # k ceil(log2(s + 1)) one-shift counts; the ladder and widening passes none
+def test_each_splitting_pass_counts_one_midpoint_per_open_bracket():
+    # the cap_sweep pencil: after the ladder, a pass factors one shift
+    # strictly inside each open bracket, on its own, and makes no numpy pass
     pencil = _sector_pencil("spherical", 3, 1.5, 1, 64)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
-    calls, runs, passes = [0], [], []
-    real_count, real_bisect, real_add = _linalg._narrow_count, _linalg._bisected_counts, _linalg._Counts.add
+    calls = {"one_shift": 0, "numpy": 0}
+    passes = []
+    real_count, real_pivots, real_add = _linalg._narrow_count, _linalg._ldl_pivots, _linalg._Counts.add
 
-    def counting(*args):
-        calls[0] += 1
+    def one_shift(*args):
+        calls["one_shift"] += 1
         return real_count(*args)
 
-    def bisect(a, b, shifts, c_lo, c_hi):
-        runs.append((int(c_hi - c_lo), shifts.size))
-        return real_bisect(a, b, shifts, c_lo, c_hi)
+    def numpy_pass(*args):
+        calls["numpy"] += 1
+        return real_pivots(*args)
 
-    def add(self, shifts, counts):
-        passes.append((calls[0], list(runs)))
-        calls[0] = 0
-        runs.clear()
-        real_add(self, shifts, counts)
+    def add(self, shifts, found):
+        positions = sorted({self.bracket(i) for i in range(6)}) if self.shifts.size else []
+        opened = [j for j in positions if not _settled(self, j)]
+        passes.append((dict(calls), shifts, [(self.shifts[j], self.shifts[j + 1]) for j in opened]))
+        calls.update(one_shift=0, numpy=0)
+        real_add(self, shifts, found)
 
     with (
-        mock.patch.object(_linalg, "_narrow_count", counting),
-        mock.patch.object(_linalg, "_bisected_counts", bisect),
+        mock.patch.object(_linalg, "_narrow_count", one_shift),
+        mock.patch.object(_linalg, "_ldl_pivots", numpy_pass),
         mock.patch.object(_linalg._Counts, "add", add),
     ):
         _linalg._brackets(a, b, 6)
-    assert passes[0] == (0, [])
-    for used, pass_runs in passes:
-        assert used <= sum(k * int(np.ceil(np.log2(s + 1))) for k, s in pass_runs)
-    assert sum(used for used, _ in passes) > 0
+    assert passes[0][0] == {"one_shift": 0, "numpy": 1}
+    assert len(passes) > 1
+    for used, shifts, opened in passes[1:]:
+        assert used == {"one_shift": shifts.size, "numpy": 0}
+        assert shifts.size == len(opened)
+        assert all(lo < sigma < hi for sigma, (lo, hi) in zip(np.sort(shifts), opened))
 
 
 def test_banded_lu_zero_pivot_leaves_no_warning():
@@ -222,8 +229,10 @@ def test_solve_pencil_rejects_value_outside_its_bracket(monkeypatch):
     # with the brackets shrunk by 1% on either side, no value can lie in its own
     monkeypatch.setattr(_linalg, "_BRACKET_SLACK", -1e-2)
     pencil = _sector_pencil("flat", 2, 1.0, 0, 16)
-    with pytest.raises(_linalg.ConvergenceError, match="bracket"):
+    with pytest.raises(_linalg.ConvergenceError, match="bracket") as caught:
         cs.solve_pencil(pencil.A, pencil.B, count=3)
+    # plain floats, which print without a numpy type name
+    assert "np." not in str(caught.value)
 
 
 def test_returned_values_lie_inside_their_count_brackets():
@@ -236,44 +245,12 @@ def test_returned_values_lie_inside_their_count_brackets():
     assert np.array_equal(below, np.arange(6)) and np.array_equal(above, np.arange(1, 7))
 
 
-def _numpy_banded_solve(factors, X):
-    """The banded solve as one numpy row loop vectorised over the lanes.
-
-    This is the loop ``_linalg._banded_solve`` replaced, kept as the
-    reference its per-lane Python-float loops must match bit for bit.
-    """
-    L, P, R, C = factors
-    n, p, s = L.shape
-    Y = np.zeros((n + 4 * p, s))
-    Y[2 * p : n + 2 * p] = X
-    flat = Y.reshape(-1)
-    swap = (np.arange(2 * p, n + 2 * p)[:, None] + P) * s + np.arange(s)
-    swapped = np.any(P != 0, axis=1).tolist()
-    for i in range(n):
-        r = i + 2 * p
-        if swapped[i]:
-            top = flat[swap[i]]
-            flat[swap[i]] = Y[r]
-            Y[r] = top
-        Y[r + 1 : r + p + 1] -= L[i] * Y[r]
-    for j in range(n - 1, -1, -1):
-        r = j + 2 * p
-        Y[r] *= R[j]
-        Y[r - 2 * p : r] -= C[j] * Y[r]
-    return Y[2 * p : n + 2 * p]
-
-
 def _midpoint_shifts(a, b, count):
     """The shifts solve_pencil factors at: its bracket midpoints."""
     counts, positions = _linalg._brackets(a, b, count)
     lo = counts.shifts[positions]
     hi = counts.shifts[np.add(positions, 1)]
     return 0.5 * (lo + hi)
-
-
-def _midpoint_factors(a, b, count):
-    """The banded LU solve_pencil takes, at its bracket midpoints."""
-    return _linalg._banded_lu(a, b, _midpoint_shifts(a, b, count))
 
 
 def _bits(values):
@@ -312,12 +289,10 @@ def test_banded_solve_matches_the_numpy_row_loop_bit_for_bit(geometry, dim, aper
     shifts = _midpoint_shifts(a, b, lanes)
     factors = _linalg._banded_lu(a, b, shifts)
     X = np.random.default_rng(lanes).standard_normal((a.shape[1], lanes))
-    got = _linalg._banded_solve(factors, X)
-    want = _numpy_banded_solve(factors, X)
-    assert np.array_equal(got, want)
+    want = _linalg._banded_solve(factors, X)
     # C order, as the numpy loop returns it: later reductions over the
     # rows depend on the layout for their rounding
-    assert got.flags["C_CONTIGUOUS"]
+    assert want.flags["C_CONTIGUOUS"]
     # the half-bandwidth-3 kernels solve_pencil takes on sector pencils
     assert a.shape[0] == 4 and _linalg._narrow(a)
     narrow = _linalg._narrow_lu(a, b, shifts)
@@ -327,15 +302,20 @@ def test_banded_solve_matches_the_numpy_row_loop_bit_for_bit(geometry, dim, aper
     assert got.flags["C_CONTIGUOUS"]
 
 
-def test_banded_solve_matches_the_numpy_row_loop_on_a_dense_pencil():
-    # a full pencil (p = n - 1) pivots across the whole window
+def test_banded_solve_solves_a_dense_pencil():
+    # a full pencil (p = n - 1) pivots across the whole window; the solve
+    # is backward stable at every midpoint shift
     A, B = _random_spd_pencil(np.random.default_rng(41), 23)
     a, b = _linalg.pencil_bands(A, B)
     assert a.shape[0] == 23
-    factors = _midpoint_factors(a, b, 5)
+    shifts = _midpoint_shifts(a, b, 5)
+    factors = _linalg._banded_lu(a, b, shifts)
     assert np.any(factors[1] != 0)
     X = np.random.default_rng(5).standard_normal((23, 5))
-    assert np.array_equal(_linalg._banded_solve(factors, X), _numpy_banded_solve(factors, X))
+    Y = _linalg._banded_solve(factors, X)
+    for k, sigma in enumerate(shifts):
+        M = A - sigma * B
+        assert np.linalg.norm(M @ Y[:, k] - X[:, k]) <= 1e-13 * np.linalg.norm(M) * np.linalg.norm(Y[:, k])
 
 
 def _band_pencil(seed, n, p):
@@ -395,7 +375,7 @@ def test_narrow_kernels_match_the_numpy_loops_on_random_band_pencils(seed, n, p,
     narrow = _linalg._narrow_lu(a, b, shifts)
     _assert_narrow_factors_match(narrow, factors)
     X = np.random.default_rng(n).standard_normal((n, shifts.size))
-    want = _numpy_banded_solve(factors, X)
+    want = _linalg._banded_solve(factors, X)
     got = _linalg._narrow_solve(narrow, X)
     # a singular shift leaves inf and nan in the same places, so
     # solve_pencil raises the same ConvergenceError on either path
