@@ -5,8 +5,9 @@ symmetric positive definite.  Everything here is deliberately
 self-contained (no LAPACK wrappers) so the numerical path is fully
 inspectable.
 
-``solve_pencil`` works on the bands of the pencil (half-bandwidth 3 for
-every Hermite-cubic sector pencil) and never forms a dense factor:
+``solve_pencil`` works on the bands of a pencil of half-bandwidth p <= 3
+and size n >= 4, as every Hermite-cubic sector pencil is (p = 3), and
+never forms a dense factor:
 
     LDL^T of A - sigma B over a batch of shifts -> inertia counts
     (Sylvester's law) -> bisection brackets of the lowest eigenvalues
@@ -19,12 +20,10 @@ passes that widen it are numpy loops over rows vectorised over the
 shifts.  The rest runs one shift at a time, where a numpy row step would
 cost as much for one shift as for a hundred: the single-shift counts
 (the sector skip in ``eigensolve``, and the midpoint that bisects each
-open bracket), the LU at the bracket midpoints and its solves.  Pencils
-of half-bandwidth at most 3, every sector pencil among them, take
-kernels unrolled on Python floats (``_narrow_count``, ``_narrow_lu``,
-``_narrow_solve``); wider ones keep the numpy count, LU and solve
-(``_banded_solve``).  Every path gives the bits of the numpy row loop.
-The counts certify the index of every returned eigenvalue.
+open bracket), the LU at the bracket midpoints and its solves.  They run
+in kernels unrolled on Python floats (``_narrow_count``, ``_narrow_lu``,
+``_narrow_solve``); the one-shift count gives the bits of the numpy count
+pass.  The counts certify the index of every returned eigenvalue.
 
 The dense chain
 
@@ -382,18 +381,27 @@ def _numpy_counts(a, b, shifts):
     return np.count_nonzero(D < 0.0, axis=0)
 
 
+def _check_bands(a):
+    """ValueError unless bands ``a`` have p <= 3 and n >= 4, as the kernels need."""
+    p, n = a.shape[0] - 1, a.shape[1]
+    if p > 3 or n < 4:
+        raise ValueError(f"pencil needs half-bandwidth <= 3 and size >= 4 (got {p} and {n})")
+
+
 def inertia_counts(a, b, shifts):
     """Number of pencil eigenvalues below each shift (Sylvester's law).
 
-    ``a`` and ``b`` are the bands from ``pencil_bands``.  The count at
-    sigma is the number of negative pivots in the LDL^T factorization of
-    A - sigma B.  A non-finite pivot (the factorization broke down on an
-    exactly singular leading block) raises ConvergenceError.  A single
-    shift on a pencil of half-bandwidth at most 3 is counted on Python
-    floats (``_narrow_count``), with the same result.
+    ``a`` and ``b`` are the bands from ``pencil_bands``, of half-bandwidth
+    p <= 3 and size n >= 4 (ValueError otherwise).  The count at sigma is
+    the number of negative pivots in the LDL^T factorization of
+    A - sigma B: a single shift is counted on Python floats
+    (``_narrow_count``), several in one numpy pass, with the same result.
+    A non-finite pivot (the factorization broke down on an exactly
+    singular leading block) raises ConvergenceError.
     """
+    _check_bands(a)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    if shifts.size == 1 and _narrow(a):
+    if shifts.size == 1:
         return np.array([_narrow_count(a, b, float(shifts[0]))], dtype=np.intp)
     return _numpy_counts(a, b, shifts)
 
@@ -403,18 +411,13 @@ def inertia_counts(a, b, shifts):
 #
 # A numpy row step costs about the same for one shift as for a hundred, so
 # the few-shift factorizations run one shift at a time on Python floats,
-# with the window of the row loop unrolled into local variables.  Each
-# kernel does the multiplies, divides and subtractions of its numpy loop
-# in the same order, so pivots, counts, factors and solves agree bit for
-# bit.  Python raises ZeroDivisionError where numpy yields inf or nan; a
-# kernel that meets a zero pivot, or a non-finite value, hands that shift
-# to the numpy loop instead.
+# with the window of the row loop unrolled into local variables.  The
+# count does the multiplies, divides and subtractions of ``_ldl_pivots`` in
+# the same order, so its pivots and counts agree bit for bit.  Python
+# raises ZeroDivisionError where numpy yields inf or nan: a count that
+# meets a zero or non-finite pivot hands that shift to the numpy pass, and
+# the LU declines it (``_narrow_lu`` then raises ConvergenceError).
 # ---------------------------------------------------------------------------
-
-
-def _narrow(a):
-    """Whether the one-shift kernels take bands ``a``: p <= 3 and n >= 4."""
-    return a.shape[0] <= 4 <= a.shape[1]
 
 
 def _diagonals(a, b, sigma):
@@ -471,7 +474,7 @@ def _narrow_count(a, b, sigma):
 
 
 def _narrow_lu_one(a, b, sigma):
-    """``_banded_lu`` of A - sigma B at one shift, for p <= 3, or None.
+    """LU with partial pivoting of A - sigma B at one shift, for p <= 3, or None.
 
     Returns (offsets, multipliers, reciprocals, upper), sequences of
     Python numbers: per row i the offset P[i] of the row swapped into place
@@ -480,9 +483,10 @@ def _narrow_lu_one(a, b, sigma):
     of column j, c = 1..6 (six sequences, last column first).  Returns
     None where a pivot is zero or a multiplier is not finite.
 
-    The window holds rows i .. i + 3 of the active matrix in columns
-    i .. i + 6 (x_rc).  Rows 0..2 are zero in column 6, which the numpy
-    loop never writes for them; row 3 is the next original row.
+    Rows are swapped within the active window of four rows, so U has upper
+    bandwidth 6.  The window holds rows i .. i + 3 of the active matrix in
+    columns i .. i + 6 (x_rc).  Rows 0..2 are zero in column 6; row 3 is
+    the next original row.
     """
     e0, e1, e2, e3 = _diagonals(a, b, sigma)
     n = len(e0)
@@ -538,9 +542,8 @@ def _narrow_lu_one(a, b, sigma):
     except ZeroDivisionError:
         return None
     offsets, m1s, m2s, m3s, pivots, *diagonals = zip(*rows)
-    # a non-finite multiplier marks a nan or inf in the pivot column, where
-    # numpy's argmax and these comparisons may pick different rows (a finite
-    # sum that overflows only costs a needless numpy pass)
+    # a non-finite multiplier marks a nan or inf in the pivot column; finite
+    # multipliers are at most 1 in magnitude, so their sum cannot overflow
     if not math.isfinite(sum(m1s) + sum(m2s) + sum(m3s)):
         return None
     reciprocals = [1.0 / u0 for u0 in reversed(pivots)]
@@ -550,41 +553,24 @@ def _narrow_lu_one(a, b, sigma):
     return offsets, (m1s, m2s, m3s), reciprocals, upper
 
 
-def _narrow_factors(L, P, R, C, k):
-    """Shift k of ``_banded_lu``'s factors (p = 3) in ``_narrow_lu_one``'s layout."""
-    upper = [C[:, 6 - c, k][::-1].tolist() for c in range(1, 7)]
-    return P[:, k].tolist(), tuple(L[:, r, k].tolist() for r in range(3)), R[::-1, k].tolist(), upper
-
-
-def _padded(a, b):
-    """Bands a, b with zero rows appended up to p = 3."""
-    pad = np.zeros((4 - a.shape[0], a.shape[1]))
-    return np.vstack([a, pad]), np.vstack([b, pad])
-
-
 def _narrow_lu(a, b, shifts):
-    """LU with partial pivoting of A - sigma B for each shift, for p <= 3.
+    """``_narrow_lu_one`` at each shift; ConvergenceError if it declines one.
 
-    One ``_narrow_lu_one`` per shift, on the bands zero-padded to p = 3;
-    a shift it declines is factored by ``_banded_lu`` instead.  The
-    factors equal ``_banded_lu``'s on the padded bands bit for bit.
+    A declined shift met an exactly zero pivot or overflowed, so solves
+    with its factors could only return inf or nan.
     """
-    factors = []
-    for k, sigma in enumerate(shifts.tolist()):
-        one = _narrow_lu_one(a, b, sigma)
-        if one is None:
-            a4, b4 = _padded(a, b)
-            one = _narrow_factors(*_banded_lu(a4, b4, shifts[k : k + 1]), 0)
-        factors.append(one)
+    factors = [_narrow_lu_one(a, b, sigma) for sigma in shifts.tolist()]
+    if any(one is None for one in factors):
+        raise ConvergenceError("inverse iteration broke down on a singular shifted pencil")
     return factors
 
 
 def _narrow_solve(factors, X):
-    """``_banded_solve`` on ``_narrow_lu`` factors: one column of X per shift.
+    """Solve (A - sigma_k B) y_k = X[:, k] on the ``_narrow_lu`` factors of each shift k.
 
-    Forward elimination keeps rows i .. i + 3 of y in a window; back
-    substitution runs by columns from the last, keeping the six rows above
-    each column.  Same operations, in the same order, as the numpy loop.
+    Forward elimination replays the row swaps and keeps rows i .. i + 3 of
+    y in a window; back substitution runs by columns from the last, keeping
+    the six rows above each column.  Returns Y in C order.
     """
     n, s = X.shape
     Y = np.empty((n, s))
@@ -614,80 +600,6 @@ def _narrow_solve(factors, X):
         back.reverse()
         Y[:, k] = back
     return Y
-
-
-def _banded_lu(a, b, shifts):
-    """LU with partial pivoting of A - sigma B for each shift.
-
-    Returns (L, P, R, C) for ``_banded_solve``: per row i, the multipliers
-    L[i] (p x s) and the offset P[i] of the row swapped into place; the
-    reciprocal pivots R[i]; and, per column j, the entries C[j] (2p x s)
-    of U above the diagonal, rows j - 1 down to j - 2p.  Rows are swapped
-    within the active window of p + 1 rows, independently per shift, so U
-    has upper bandwidth 2p.
-    """
-    p, n = a.shape[0] - 1, a.shape[1]
-    s = shifts.size
-    rows = np.zeros((n + 2 * p + 1, 2 * p + 1, s))
-    for k in range(p + 1):
-        band = a[k, : n - k, None] - b[k, : n - k, None] * shifts
-        rows[: n - k, p + k] = band
-        rows[k:n, p - k] = band
-    rows[n:, p] = 1.0
-    W = np.zeros((p + 1, 2 * p + 1, s))
-    for r in range(p + 1):
-        W[r, : r + p + 1] = rows[r, p - r :]
-    spare = np.zeros_like(W)
-    U = np.empty((n, 2 * p + 1, s))
-    L = np.empty((n, p, s))
-    P = np.empty((n, s), dtype=np.intp)
-    lanes = np.arange(s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(n):
-            piv = np.argmax(np.abs(W[:, 0]), axis=0, out=P[i])
-            top = W[piv, :, lanes]
-            W[piv, :, lanes] = W[0].T
-            U[i] = top.T
-            mult = np.divide(W[1:, 0], U[i, 0], out=L[i])
-            np.subtract(W[1:, 1:], mult[:, None, :] * U[i, None, 1:], out=spare[:p, : 2 * p])
-            spare[p] = rows[i + p + 1]
-            W, spare = spare, W
-        R = 1.0 / U[:, 0]
-    C = np.zeros((n, 2 * p, s))
-    for c in range(1, min(2 * p, n - 1) + 1):
-        C[c:, 2 * p - c] = U[: n - c, c]
-    return L, P, R, C
-
-
-def _banded_solve(factors, X):
-    """Solve (A - sigma_j B) x_j = X[:, j] for every shift j of ``factors``.
-
-    One numpy row loop vectorised over the shifts.  Forward elimination
-    replays the row swaps; back substitution runs by columns, subtracting
-    each solved x_j from the 2p rows above it.  Sector pencils (p = 3) go
-    to ``_narrow_solve`` instead; this loop serves the wider pencils of
-    the tests and of the public API.
-    """
-    L, P, R, C = factors
-    n, p, s = L.shape
-    # rows 0 .. 2p - 1 and n + 2p .. n + 4p - 1 of Y are padding
-    Y = np.zeros((n + 4 * p, s))
-    Y[2 * p : n + 2 * p] = X
-    flat = Y.reshape(-1)
-    swap = (np.arange(2 * p, n + 2 * p)[:, None] + P) * s + np.arange(s)
-    swapped = np.any(P != 0, axis=1).tolist()
-    for i in range(n):
-        r = i + 2 * p
-        if swapped[i]:
-            top = flat[swap[i]]
-            flat[swap[i]] = Y[r]
-            Y[r] = top
-        Y[r + 1 : r + p + 1] -= L[i] * Y[r]
-    for j in range(n - 1, -1, -1):
-        r = j + 2 * p
-        Y[r] *= R[j]
-        Y[r - 2 * p : r] -= C[j] * Y[r]
-    return Y[2 * p : n + 2 * p]
 
 
 class _Counts:
@@ -797,7 +709,10 @@ def solve_pencil(A, B, count, seed=201):
     A - sigma B bracket each wanted eigenvalue and certify its index
     (``_brackets``); seeded inverse iteration with a banded LU of
     A - sigma B at each bracket midpoint gives the vectors, B-orthogonalised
-    within any bracket that holds more than one eigenvalue.
+    within any bracket that holds more than one eigenvalue.  The pencil must
+    have half-bandwidth p <= 3 and size n >= 4, as every Hermite-cubic
+    sector pencil does (p = 3); another raises ValueError before any
+    factorization.
 
     Each value is the Rayleigh quotient of its vector.  It must lie in its
     bracket widened by ``_BRACKET_SLACK`` relative, and pass the residual
@@ -817,35 +732,33 @@ def solve_pencil(A, B, count, seed=201):
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("A and B must be finite")
     a, b = pencil_bands(A, B)
+    _check_bands(a)
     counts, positions = _brackets(a, b, count)
     lo = counts.shifts[positions]
     hi = counts.shifts[np.add(positions, 1)]
     shifts = 0.5 * (lo + hi)
-    if _narrow(a):
-        factors, solve = _narrow_lu(a, b, shifts), _narrow_solve
-    else:
-        factors, solve = _banded_lu(a, b, shifts), _banded_solve
+    factors = _narrow_lu(a, b, shifts)
     clusters = [[i for i in range(count) if positions[i] == j] for j in sorted(set(positions))]
     clusters = [members for members in clusters if len(members) > 1]
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, count))
     BZ = _band_matvec(b, Z)
     for step in range(_BANDED_PASSES):
-        Z = solve(factors, BZ)
+        Z = _narrow_solve(factors, BZ)
         if step == _BANDED_PASSES - 1:
             # The solve leaves rounding noise of relative size up to 1e-4
             # across the other modes on the finest meshes (whose Rayleigh
             # quotient then drifts by 1e-8); one step of refinement in
             # working precision removes it.
-            Z += solve(factors, BZ - _band_matvec(a, Z) + shifts * _band_matvec(b, Z))
+            Z += _narrow_solve(factors, BZ - _band_matvec(a, Z) + shifts * _band_matvec(b, Z))
         for members in clusters:
             _b_orthogonalize(b, Z, members)
         BZ = _band_matvec(b, Z)
         norms = np.sqrt(np.einsum("ij,ij->j", Z, BZ))
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise ConvergenceError("inverse iteration broke down on a singular shifted pencil")
         Z /= norms
         BZ /= norms
-    if not np.all(np.isfinite(Z)):
-        raise ConvergenceError("inverse iteration broke down on a singular shifted pencil")
 
     AZ = _band_matvec(a, Z)
     values = np.einsum("ij,ij->j", Z, AZ)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,17 @@ def test_solver_failure_exits_three(tmp_path, monkeypatch):
             assert (rc, out) == (3, "")
             assert err == f"error: {kind.__name__} in the pencil solve\n"
             assert target.read_text() == "an earlier report\n"
+
+
+def test_zero_b_norm_exits_three_without_a_warning():
+    # at aperture 1e-50 an inverse-iteration vector has B-norm zero; the solve
+    # stops before dividing by it, so the one error line is all it prints
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run("solve", "--geometry", "flat", "--dim", "5", "--aperture", "1e-50",
+                            "--elements", "64")
+    assert (rc, out) == (3, "")
+    assert err == "error: inverse iteration broke down on a singular shifted pencil\n"
 
 
 def test_unknown_subcommand_exits_two():
