@@ -9,21 +9,18 @@ inspectable.
 and size n >= 4, as every Hermite-cubic sector pencil is (p = 3), and
 never forms a dense factor:
 
-    LDL^T of A - sigma B over a batch of shifts -> inertia counts
+    LDL^T of A - sigma B, one shift at a time -> inertia counts
     (Sylvester's law) -> bisection brackets of the lowest eigenvalues
     -> banded LU with partial pivoting at the bracket midpoints -> seeded
     inverse iteration for the eigenvectors -> Rayleigh quotients, gated by
     their residual and their count brackets.
 
-Only the first count pass (the ladder, which also factors B) and the
-passes that widen it are numpy loops over rows vectorised over the
-shifts.  The rest runs one shift at a time, where a numpy row step would
-cost as much for one shift as for a hundred: the single-shift counts
-(the sector skip in ``eigensolve``, and the midpoint that bisects each
-open bracket), the LU at the bracket midpoints and its solves.  They run
-in kernels unrolled on Python floats (``_narrow_count``, ``_narrow_lu``,
-``_narrow_solve``); the one-shift count gives the bits of the numpy count
-pass.  The counts certify the index of every returned eigenvalue.
+Every factorization takes one shift, in a kernel unrolled on Python
+floats: the LDL^T count (``_narrow_count``), which factors B, places the
+first shifts and bisects each open bracket, and also makes the sector
+skip count in ``eigensolve``; the LU at the bracket midpoints
+(``_narrow_lu``) and its solves (``_narrow_solve``).  The counts certify
+the index of every returned eigenvalue.
 
 The dense chain
 
@@ -38,6 +35,7 @@ and ``perfbench`` times them, but ``solve_pencil`` does not call it.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -77,8 +75,10 @@ _CLUSTER_RTOL = 1e-10
 _MAX_COUNT_PASSES = 60
 #: banded inverse-iteration solves per eigenvector
 _BANDED_PASSES = 4
-#: ladder of the first count pass, in units of the diagonal scale of A / B
-_LADDER = np.logspace(-10.0, 2.0, 96)
+#: factor by which each widening pass moves the outer count shift outward
+_WIDEN = 16.0
+#: the int64 with only the sign bit set
+_INT64_MIN = -(1 << 63)
 
 
 class CholeskyError(Exception):
@@ -331,56 +331,6 @@ def _band_matvec(bands, X):
     return Y
 
 
-def _columns(a, b, alpha, sigma):
-    """Upper-band columns of alpha_j A - sigma_j B for a batch of shifts.
-
-    Entry [p - k, i, j] is element (i - k, i) of the j-th matrix.  Columns
-    n .. n + 2p pad the matrices with an identity block, which adds only
-    positive pivots and keeps the factor loop free of end cases.
-    """
-    p, n = a.shape[0] - 1, a.shape[1]
-    cols = np.zeros((p + 1, n + 2 * p + 1, sigma.size))
-    for k in range(p + 1):
-        band_a, band_b = a[k, : n - k], b[k, : n - k]
-        np.subtract(np.multiply.outer(band_a, alpha), np.multiply.outer(band_b, sigma), out=cols[p - k, k:n])
-    cols[p, n:] = 1.0
-    return cols
-
-
-def _ldl_pivots(a, b, alpha, sigma):
-    """Pivots D of the LDL^T factorization of alpha A - sigma B, shape (n, s).
-
-    One pass over the rows, vectorised over the shifts.  The window W
-    holds the trailing (p + 1) x (p + 1) Schur complement; each step takes
-    its leading pivot, updates the rest, and shifts in the next column.
-    """
-    p, n = a.shape[0] - 1, a.shape[1]
-    cols = _columns(a, b, np.asarray(alpha, dtype=float), np.asarray(sigma, dtype=float))
-    W = np.empty((p + 1, p + 1, sigma.size))
-    for j in range(p + 1):
-        W[: j + 1, j] = cols[p - j :, j]
-        W[j, : j + 1] = cols[p - j :, j]
-    spare = np.empty_like(W)
-    D = np.empty((n, sigma.size))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(n):
-            D[i] = W[0, 0]
-            ratio = W[0, 1:] / W[0, 0]
-            np.subtract(W[1:, 1:], ratio[:, None, :] * W[0, None, 1:], out=spare[:p, :p])
-            incoming = cols[:, i + p + 1]
-            spare[:, p] = incoming
-            spare[p, :p] = incoming[:p]
-            W, spare = spare, W
-    return D
-
-
-def _numpy_counts(a, b, shifts):
-    D = _ldl_pivots(a, b, np.ones_like(shifts), shifts)
-    if not np.all(np.isfinite(D)):
-        raise ConvergenceError("LDL^T inertia count broke down on a singular leading block")
-    return np.count_nonzero(D < 0.0, axis=0)
-
-
 def _check_bands(a):
     """ValueError unless bands ``a`` have p <= 3 and n >= 4, as the kernels need."""
     p, n = a.shape[0] - 1, a.shape[1]
@@ -394,29 +344,25 @@ def inertia_counts(a, b, shifts):
     ``a`` and ``b`` are the bands from ``pencil_bands``, of half-bandwidth
     p <= 3 and size n >= 4 (ValueError otherwise).  The count at sigma is
     the number of negative pivots in the LDL^T factorization of
-    A - sigma B: a single shift is counted on Python floats
-    (``_narrow_count``), several in one numpy pass, with the same result.
-    A non-finite pivot (the factorization broke down on an exactly
-    singular leading block) raises ConvergenceError.
+    A - sigma B, made one shift at a time by ``_narrow_count``.  An exactly
+    zero pivot counts as negative, so an eigenvalue equal to sigma counts
+    as below it.  A non-finite pivot (the factorization overflowed)
+    raises ConvergenceError.
     """
     _check_bands(a)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    if shifts.size == 1:
-        return np.array([_narrow_count(a, b, float(shifts[0]))], dtype=np.intp)
-    return _numpy_counts(a, b, shifts)
+    return np.array([_narrow_count(a, b, sigma) for sigma in shifts.tolist()], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
 # One-shift kernels for half-bandwidth <= 3
 #
 # A numpy row step costs about the same for one shift as for a hundred, so
-# the few-shift factorizations run one shift at a time on Python floats,
-# with the window of the row loop unrolled into local variables.  The
-# count does the multiplies, divides and subtractions of ``_ldl_pivots`` in
-# the same order, so its pivots and counts agree bit for bit.  Python
-# raises ZeroDivisionError where numpy yields inf or nan: a count that
-# meets a zero or non-finite pivot hands that shift to the numpy pass, and
-# the LU declines it (``_narrow_lu`` then raises ConvergenceError).
+# every factorization runs one shift at a time on Python floats, with the
+# window of the row loop unrolled into local variables.  Python raises
+# ZeroDivisionError where numpy yields inf or nan: the count never divides
+# by a zero pivot (it takes -pivmin in its place), and the LU declines a
+# shift that meets one (``_narrow_lu`` then raises ConvergenceError).
 # ---------------------------------------------------------------------------
 
 
@@ -435,10 +381,18 @@ def _diagonals(a, b, sigma):
 def _narrow_count(a, b, sigma):
     """``inertia_counts`` at one shift, for p <= 3, on Python floats.
 
-    The LDL^T pass of ``_ldl_pivots`` with the bands zero-padded to p = 3.
+    One pass of LDL^T over the rows, with the bands zero-padded to p = 3.
+    The window w holds the trailing 4 x 4 Schur complement; each step takes
+    its leading pivot, updates the rest and shifts in the next column.
     Only row 0 of the window is read as a pivot row, so only the upper
     triangle w_rc (r <= c) is kept; padding adds exact zeros, so the
     pivots are those of the unpadded pass.
+
+    An exactly zero pivot counts as negative and the pass goes on with
+    -pivmin in its place, pivmin = eps (max |a| + |sigma| max |b|), the
+    rounding size of the shifted pencil's entries.  That is the rule of
+    LAPACK's bisection (``dlaebz``); for tridiagonals, Demmel, Dhillon and
+    Ren (ETNA 3, 1995) show that it keeps the count correct.
     """
     e0, e1, e2, e3 = _diagonals(a, b, sigma)
     # step i shifts in column i + 4, elements (i + 1 .. i + 4, i + 4);
@@ -450,26 +404,26 @@ def _narrow_count(a, b, sigma):
     w33 = e0[3]
     negative = 0
     total = 0.0
-    try:
-        for c0, c1, c2, c3 in incoming:
-            if w00 < 0.0:
-                negative += 1
-            total += w00
-            r1 = w01 / w00
-            r2 = w02 / w00
-            r3 = w03 / w00
-            w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = (
-                w11 - r1 * w01, w12 - r1 * w02, w13 - r1 * w03, c0,
-                w22 - r2 * w02, w23 - r2 * w03, c1,
-                w33 - r3 * w03, c2,
-                c3,
-            )
-    except ZeroDivisionError:
-        total = math.nan
+    for c0, c1, c2, c3 in incoming:
+        if w00 <= 0.0:
+            negative += 1
+            if w00 == 0.0:
+                # 1 where A - sigma B is the zero matrix: every pivot is
+                # then zero, and any stand-in gives the count n
+                w00 = -(_EPS * (float(np.max(np.abs(a))) + abs(sigma) * float(np.max(np.abs(b)))) or 1.0)
+        total += w00
+        r1 = w01 / w00
+        r2 = w02 / w00
+        r3 = w03 / w00
+        w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = (
+            w11 - r1 * w01, w12 - r1 * w02, w13 - r1 * w03, c0,
+            w22 - r2 * w02, w23 - r2 * w03, c1,
+            w33 - r3 * w03, c2,
+            c3,
+        )
     if not math.isfinite(total):
-        # a zero pivot, or a non-finite one (a finite sum that overflowed
-        # lands here too): the numpy pass decides
-        return int(_numpy_counts(a, b, np.array([sigma]))[0])
+        # a nan or inf pivot (a finite sum that overflowed lands here too)
+        raise ConvergenceError("LDL^T inertia count broke down on a singular leading block")
     return negative
 
 
@@ -636,59 +590,66 @@ class _Counts:
         return 0.5 * (hi - lo) / min(mid - below, above - mid)
 
 
+def _bit_midpoint(lo, hi):
+    """The double halfway from lo to hi in the ordering of doubles.
+
+    A double's sign-magnitude bit pattern, read as an integer and negated
+    for a negative double, is its position in that ordering (both zeros
+    sit at 0).  The mean of two positions is near the geometric mean of two
+    doubles of one sign many binades apart, it passes through 0, and
+    splitting at it exhausts any bracket within 64 splits.
+    """
+    # k <-> INT64_MIN - k for k < 0 maps int64 bits to positions and back
+    k_lo, k_hi = (k if k >= 0 else _INT64_MIN - k for k in struct.unpack("<2q", struct.pack("<2d", lo, hi)))
+    k = (k_lo + k_hi) // 2
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else _INT64_MIN - k))[0]
+
+
 def _brackets(a, b, count):
     """Certified brackets of the lowest ``count`` eigenvalues, by bisection.
 
-    The first pass counts on a geometric ladder of shifts of both signs
-    around the diagonal scale and factors B itself (CholeskyError unless
-    every pivot is positive).  Later passes widen the ladder until it
-    holds the lowest ``count`` eigenvalues, then split every bracket whose
+    One count of 0 A - (-1) B factors B itself (CholeskyError unless every
+    pivot is positive).  The first pass counts at -scale and scale, the
+    diagonal scale of A over B; each widening pass moves the outer shift
+    outward by the factor ``_WIDEN``, until the shifts hold the lowest
+    ``count`` eigenvalues.  Splitting passes then split every bracket whose
     midpoint would make a poor inverse-iteration shift: until it holds one
-    eigenvalue and its contraction bound is below ``_CONTRACTION``, or,
-    for an unresolved cluster, its width is below ``_CLUSTER_RTOL``.
-    Returns (counts, positions): the evaluated shifts and, for each index
+    eigenvalue and its contraction bound is below ``_CONTRACTION``, or, for
+    an unresolved cluster, its width is below ``_CLUSTER_RTOL``.  Returns
+    (counts, positions): the evaluated shifts and, for each index
     i < count, the position of its bracket.
 
-    The ladder and widening passes count every shift in one numpy pass.
-    A splitting pass counts one shift per open bracket, on its own: the
-    geometric midpoint when 0 < lo < hi / 4, the arithmetic one otherwise.
-    A bracket with no double strictly inside stays as it is.  Every stored
-    count is factored.
+    Every shift is counted on its own.  A splitting pass counts one shift
+    per open bracket, at its ``_bit_midpoint``; a bracket with no double
+    strictly inside stays as it is.
     """
-    scale = float(np.max(np.abs(a[0]))) / max(float(np.max(np.abs(b[0]))), _EPS)
-    scale = scale if scale > 0.0 else 1.0
-    ladder = scale * np.concatenate([-_LADDER[::4][::-1], _LADDER])
-    # the last column, 0 A - (-1) B, factors B itself
-    D = _ldl_pivots(a, b, np.append(np.ones_like(ladder), 0.0), np.append(ladder, -1.0))
-    if not (np.all(D[:, -1] > 0.0) and np.all(np.isfinite(D[:, -1]))):
+    if _narrow_count(np.zeros_like(a), b, -1.0) != 0:
         raise CholeskyError("B is not positive definite")
-    if not np.all(np.isfinite(D)):
-        raise ConvergenceError("LDL^T inertia count broke down on a singular leading block")
+    # B passed its count, so its diagonal is positive
+    scale = float(np.max(np.abs(a[0]))) / float(np.max(np.abs(b[0])))
+    scale = scale if scale > 0.0 else 1.0
     counts = _Counts()
-    counts.add(ladder, np.count_nonzero(D[:, :-1] < 0.0, axis=0))
+    new = [-scale, scale]
     for _ in range(_MAX_COUNT_PASSES):
-        lo_count, hi_count = counts.counts[0], counts.counts[-1]
-        if lo_count > 0:
-            new = counts.shifts[0] - max(abs(counts.shifts[0]), scale) * _LADDER[-1] / _LADDER
-        elif hi_count < count:
-            new = counts.shifts[-1] + max(abs(counts.shifts[-1]), scale) * _LADDER[-1] / _LADDER
+        counts.add(np.array(new), inertia_counts(a, b, new))
+        if counts.counts[0] > 0:
+            new = [_WIDEN * float(counts.shifts[0])]
+        elif counts.counts[-1] < count:
+            new = [_WIDEN * float(counts.shifts[-1])]
         else:
-            mids = []
+            new = []
             for j in sorted({counts.bracket(i) for i in range(count)}):
                 lo, hi = float(counts.shifts[j]), float(counts.shifts[j + 1])
                 isolated = counts.counts[j + 1] - counts.counts[j] == 1
                 narrow = hi - lo <= _CLUSTER_RTOL * max(abs(lo), abs(hi))
                 if counts.contraction(j) <= _CONTRACTION and (isolated or narrow):
                     continue
-                mid = lo * math.sqrt(hi / lo) if 0.0 < lo < hi / 4.0 else 0.5 * (lo + hi)
+                mid = _bit_midpoint(lo, hi)
                 if lo < mid < hi:
-                    mids.append(mid)
-            if not mids:
+                    new.append(mid)
+            if not new:
                 # every bracket is settled or as narrow as doubles allow
                 return counts, [counts.bracket(i) for i in range(count)]
-            counts.add(np.array(mids), np.concatenate([inertia_counts(a, b, [mid]) for mid in mids]))
-            continue
-        counts.add(new, inertia_counts(a, b, new))
     raise ConvergenceError(f"bisection did not settle within {_MAX_COUNT_PASSES} count passes")
 
 
@@ -751,6 +712,11 @@ def solve_pencil(A, B, count, seed=201):
             # quotient then drifts by 1e-8); one step of refinement in
             # working precision removes it.
             Z += _narrow_solve(factors, BZ - _band_matvec(a, Z) + shifts * _band_matvec(b, Z))
+        # A column with entries of 1 or more is first scaled below 1 by a
+        # power of two, exactly, so the normalized vector keeps its bits: a
+        # solve at a shift within 1e-303 of an eigenvalue of size 1e-300
+        # grows the vector by 1e303, and its squared B-norm would overflow.
+        Z = np.ldexp(Z, -np.maximum(np.frexp(np.max(np.abs(Z), axis=0))[1], 0))
         for members in clusters:
             _b_orthogonalize(b, Z, members)
         BZ = _band_matvec(b, Z)

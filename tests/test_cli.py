@@ -407,21 +407,21 @@ def test_module_entry_points_run_the_cli(module):
 #: here on purpose and records the move in CHANGES.md.
 GOLDEN = [
     ("solve --geometry flat --dim 2 --aperture 1.0 --elements 64", 0,
-     "774be8039151fb34eb9a67f656bb28c4bc8cee1c3ba6f5cea3154fc874258a1c"),
+     "e46333f4f43d96ea393d2e5e2f3bf410fcbc93b89d241bf9d49b54795d41fc19"),
     ("solve --geometry flat --dim 5 --aperture 0.7 --elements 32 --num-eigs 10", 0,
-     "7502c2c32a01d60b036f754e3061d8e2eef1a19cad9103c45fcf92daa5bc0df3"),
+     "a99ebbf6785c2058c4479c06b82be65e08b7ddc43fdfc4919cab2224d104b3c8"),
     ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --num-eigs 8", 0,
-     "e13f3c95d41ea5cc5b7553fb46070334686fdb779fb5a4238ee4d86118e689ff"),
+     "db24486dcb0cb556b6799b5274019c865806eaeb1373b178269016c5466c3ebf"),
     ("solve --geometry spherical --dim 2 --aperture 0.002 --elements 32", 0,
-     "58e4c88dbe3504bac3cf2b33e7d93e35da8db2844a873f270434a437d9f51ae4"),
+     "e185a85cb76b6cfb7349fac210be64f711db7496a7952a6174a4d0745a82a02d"),
     ("sweep --geometry spherical --dim 2 --aperture 0.5:3.0:0.5 --elements 32", 0,
-     "4278076d5045d457818afb4041fd13056e403e2dada594aa3f52b2cbecc5b3ff"),
+     "9085f587019043bd141a657320c14de6e29200c9717514ab0562361b0e8331bc"),
     ("sweep --geometry spherical --dim 5 --aperture 0.4:2.8:0.6 --elements 24 --num-eigs 4", 0,
-     "659dfbb4cb8ad173959b215e7719c9f27afa902fc62bbc2bfe3f81de19692207"),
+     "49d78f0c55f4d752c59f58f7bd8aac09c986595ba82f97a3aeb7ade3635341ae"),
     ("identities --geometry spherical --dim 2 --aperture 1.0 --elements 64", 0,
-     "274021cb86280d1bb4808d79ba43cd15295b6a87280c0276c3309b91ce1c6601"),
+     "056696d1d115a7adf96878bdf650925c18769687621d4d0a75ee359545207b09"),
     ("identities --geometry spherical --dim 4 --aperture 2.0 --elements 32", 0,
-     "8af6e2a52fca364ef4b7095cf35504d6aba416fb846f7caf7d75dcdcf87870ee"),
+     "56a7cd254b3799527facd6696e9d5cbc724a535b58fd733477bdf6a4c030902c"),
 ]
 
 

@@ -65,7 +65,6 @@ def test_solve_pencil_rejects_pencils_the_kernels_cannot_take(monkeypatch):
     def no_factorization(*args):
         raise AssertionError("factored a pencil it should have rejected")
 
-    monkeypatch.setattr(_linalg, "_ldl_pivots", no_factorization)
     monkeypatch.setattr(_linalg, "_narrow_count", no_factorization)
     A, B, a, b = _band_pencil(4, 9, 4)
     with pytest.raises(ValueError, match="half-bandwidth"):
@@ -166,13 +165,11 @@ def test_solve_pencil_repeat_calls_are_bit_identical():
 
 def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
     # a count that falls as the shift rises cannot come from a definite pencil:
-    # one-shift counts of 0 fall below the lower end count of the second
-    # eigenvalue's bracket
+    # reversed, the counts at the first two shifts -scale and scale fall
     real = _linalg.inertia_counts
 
     def falling(a, b, shifts):
-        counts = real(a, b, shifts)
-        return counts if counts.size > 1 else np.zeros_like(counts)
+        return real(a, b, shifts)[::-1]
 
     monkeypatch.setattr(_linalg, "inertia_counts", falling)
     pencil = _sector_pencil("flat", 2, 1.0, 0, 16)
@@ -199,53 +196,72 @@ def _settled(counts, j):
     count=st.integers(1, 6),
 )
 def test_bracket_counts_are_factored_and_every_bracket_is_settled(geometry, dim, aperture, l, m, count):
-    # every stored count is the count a numpy pass gives at its shift, and
-    # the bisection stops only where the stopping rule holds
+    # every stored count is the number of dense eigenvalues below its shift,
+    # and the bisection stops only where the stopping rule holds
     pencil = _sector_pencil(geometry, dim, aperture, l, m)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
     counts, positions = _linalg._brackets(a, b, count)
-    assert np.array_equal(counts.counts, _linalg._numpy_counts(a, b, counts.shifts))
+    ref = sla.eigh(pencil.A, pencil.B, eigvals_only=True)
+    assert np.array_equal(counts.counts, np.searchsorted(ref, counts.shifts))
     for i, j in enumerate(positions):
         assert counts.counts[j] <= i < counts.counts[j + 1]
         assert _settled(counts, j)
 
 
 def test_each_splitting_pass_counts_one_midpoint_per_open_bracket():
-    # the cap_sweep pencil: after the ladder, a pass factors one shift
-    # strictly inside each open bracket, on its own, and makes no numpy pass
+    # the cap_sweep pencil: after the count of B and the first pass at
+    # -scale and scale, a pass factors one shift strictly inside each open
+    # bracket
     pencil = _sector_pencil("spherical", 3, 1.5, 1, 64)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
-    calls = {"one_shift": 0, "numpy": 0}
+    calls = {"one_shift": 0}
     passes = []
-    real_count, real_pivots, real_add = _linalg._narrow_count, _linalg._ldl_pivots, _linalg._Counts.add
+    real_count, real_add = _linalg._narrow_count, _linalg._Counts.add
 
     def one_shift(*args):
         calls["one_shift"] += 1
         return real_count(*args)
 
-    def numpy_pass(*args):
-        calls["numpy"] += 1
-        return real_pivots(*args)
-
     def add(self, shifts, found):
         positions = sorted({self.bracket(i) for i in range(6)}) if self.shifts.size else []
         opened = [j for j in positions if not _settled(self, j)]
         passes.append((dict(calls), shifts, [(self.shifts[j], self.shifts[j + 1]) for j in opened]))
-        calls.update(one_shift=0, numpy=0)
+        calls.update(one_shift=0)
         real_add(self, shifts, found)
 
     with (
         mock.patch.object(_linalg, "_narrow_count", one_shift),
-        mock.patch.object(_linalg, "_ldl_pivots", numpy_pass),
         mock.patch.object(_linalg._Counts, "add", add),
     ):
         _linalg._brackets(a, b, 6)
-    assert passes[0][0] == {"one_shift": 0, "numpy": 1}
+    assert passes[0][0] == {"one_shift": 3} and passes[0][1].size == 2
     assert len(passes) > 1
     for used, shifts, opened in passes[1:]:
-        assert used == {"one_shift": shifts.size, "numpy": 0}
+        assert used == {"one_shift": shifts.size}
         assert shifts.size == len(opened)
         assert all(lo < sigma < hi for sigma, (lo, hi) in zip(np.sort(shifts), opened))
+
+
+@pytest.mark.parametrize("t", [1e-25, 1e-300])
+def test_solve_pencil_separates_eigenvalues_far_below_the_diagonal_scale(t):
+    # bisection in the ordering of doubles splits the bracket [0, 12] by
+    # binades, so t and 2 t are bracketed apart long before the pass limit
+    A = np.diag([t, 2.0 * t, *range(3, 13)])
+    values, _ = cs.solve_pencil(A, np.eye(12), count=2)
+    assert np.allclose(values, [t, 2.0 * t], rtol=1e-12, atol=0.0)
+
+
+def test_inertia_count_goes_on_past_an_exactly_zero_pivot():
+    # at sigma = max|a0| / max|b0|, where _brackets starts, the first pivot
+    # of this sector pencil is exactly zero; the count takes it as negative,
+    # goes on with -pivmin, and gives the dense count
+    pencil = _sector_pencil("spherical", 2, 2.9, 4, 16)
+    a, b = _linalg.pencil_bands(pencil.A, pencil.B)
+    sigma = float(np.max(np.abs(a[0])) / np.max(np.abs(b[0])))
+    assert a[0, 0] - sigma * b[0, 0] == 0.0
+    ref = sla.eigh(pencil.A, pencil.B, eigvals_only=True)
+    assert ref.size == 30 and np.searchsorted(ref, sigma) == 21
+    assert _linalg.inertia_counts(a, b, [sigma])[0] == 21
 
 
 def _diagonal_bands(n, p):
@@ -258,12 +274,14 @@ def _diagonal_bands(n, p):
 def test_banded_lu_zero_pivot_leaves_no_warning():
     # at shift 4 the first pivot of 4 I - 4 I is exactly zero: the LU declines
     # the shift and the solve stops on a singular shifted pencil, without
-    # a numpy warning
+    # a numpy warning; the count takes every zero pivot as negative, so the
+    # n eigenvalues equal to the shift count as below it
     for n, p in [(5, 1), (6, 0)]:
         a, b = _diagonal_bands(n, p)
         assert _linalg._narrow_lu_one(a, b, 4.0) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert _linalg.inertia_counts(a, b, [4.0])[0] == n
             with pytest.raises(_linalg.ConvergenceError, match="singular shifted pencil"):
                 _linalg._narrow_lu(a, b, np.array([1.0, 4.0]))
 
@@ -345,14 +363,6 @@ def test_narrow_lu_solve_is_backward_stable(geometry, dim, aperture, l, m, lanes
         _assert_solves(pencil.A - sigma * pencil.B, 3, Y[:, k : k + 1], X[:, k : k + 1])
 
 
-def _numpy_count(a, b, sigma):
-    """The count at sigma from _ldl_pivots, or the error inertia_counts raises."""
-    D = _linalg._ldl_pivots(a, b, np.ones(1), np.array([sigma]))
-    if not np.all(np.isfinite(D)):
-        return "LDL^T inertia count broke down on a singular leading block"
-    return int(np.count_nonzero(D < 0.0))
-
-
 def _kernel_count(a, b, sigma):
     try:
         return _linalg._narrow_count(a, b, sigma)
@@ -368,8 +378,9 @@ def _kernel_count(a, b, sigma):
     shifts=st.lists(st.floats(-5.0, 60.0), min_size=1, max_size=6),
     scale=st.sampled_from([1.0, 1e307]),
 )
-# shift 4 makes the first pivot 4 - 4 * 1 exactly zero: A = 4 I, B = I
-# (seed None), so both the LDL^T count and the LU divide by zero
+# shift 4 makes every pivot 4 - 4 * 1 exactly zero: A = 4 I, B = I (seed
+# None), so the LU declines the shift, and the LDL^T count takes each zero
+# pivot as negative and counts the n eigenvalues equal to 4 (dlaebz's rule)
 @example(seed=None, n=5, p=1, shifts=[4.0], scale=1.0)
 @example(seed=None, n=6, p=0, shifts=[4.0, 1.0], scale=1.0)
 # near the top of the double range the scaled bands overflow (seed 8), or
@@ -377,21 +388,26 @@ def _kernel_count(a, b, sigma):
 @example(seed=8, n=8, p=3, shifts=[1.0], scale=1e307)
 @example(seed=125, n=8, p=3, shifts=[1.0], scale=1e307)
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def test_narrow_kernels_match_the_numpy_loops_on_random_band_pencils(seed, n, p, shifts, scale):
-    # the count equals the numpy LDL^T pass; the LU and its solve are
-    # backward stable on the pencil scaled back to unit size, or the LU
-    # declines the shift and _narrow_lu raises.  solve_pencil factors only
-    # finite pencils, so the LU is not tried where scaling overflowed.
+def test_narrow_kernels_match_scipy_on_random_band_pencils(seed, n, p, shifts, scale):
+    # the count is the number of dense eigenvalues of the unscaled pencil at
+    # or below sigma / scale, or, where scaling by 1e307 overflowed the
+    # factorization, ConvergenceError; the LU and its solve are backward
+    # stable on the pencil scaled back to unit size, or the LU declines the
+    # shift and _narrow_lu raises.  solve_pencil factors only finite
+    # pencils, so the LU is not tried where scaling overflowed.
     if seed is None:
         A, B = 4.0 * np.eye(n), np.eye(n)
         a, b = _diagonal_bands(n, p)
     else:
         A, B, a, b = _band_pencil(seed, n, p)
+    ref = sla.eigh(A, B, eigvals_only=True)
     a = a * scale
     finite = np.all(np.isfinite(a))
     X = np.random.default_rng(n).standard_normal((n, 1))
     for sigma in shifts:
-        assert _kernel_count(a, b, sigma) == _numpy_count(a, b, sigma)
+        dense = int(np.searchsorted(ref, sigma / scale, side="right"))
+        overflowed = "LDL^T inertia count broke down on a singular leading block"
+        assert _kernel_count(a, b, sigma) in ((dense,) if scale == 1.0 else (dense, overflowed))
         if not finite:
             continue
         one = _linalg._narrow_lu_one(a, b, sigma)
