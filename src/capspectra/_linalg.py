@@ -75,6 +75,8 @@ _CLUSTER_RTOL = 1e-10
 _MAX_COUNT_PASSES = 60
 #: banded inverse-iteration solves per eigenvector
 _BANDED_PASSES = 4
+#: iterative-refinement steps of the last inverse-iteration solve
+_REFINEMENTS = 2
 #: factor by which each widening pass moves the outer count shift outward
 _WIDEN = 16.0
 #: the int64 with only the sign bit set
@@ -390,9 +392,14 @@ def _narrow_count(a, b, sigma):
 
     An exactly zero pivot counts as negative and the pass goes on with
     -pivmin in its place, pivmin = eps (max |a| + |sigma| max |b|), the
-    rounding size of the shifted pencil's entries.  That is the rule of
-    LAPACK's bisection (``dlaebz``); for tridiagonals, Demmel, Dhillon and
-    Ren (ETNA 3, 1995) show that it keeps the count correct.
+    rounding size of the shifted pencil's entries.  The rule is modelled on
+    LAPACK's bisection (``dlaebz``) but is not the same: ``dlaebz`` replaces
+    every pivot smaller than pivmin in magnitude, with pivmin taken from
+    the underflow threshold.  Swapping a zero pivot i for -pivmin counts the
+    pencil A - sigma B - pivmin e_i e_i^T, so the count is that of a
+    perturbation of size pivmin, the backward-stable count of a nearby
+    pencil; Demmel, Dhillon and Ren (ETNA 3, 1995) prove the tridiagonal
+    case, not these p = 3 bands.
     """
     e0, e1, e2, e3 = _diagonals(a, b, sigma)
     # step i shifts in column i + 4, elements (i + 1 .. i + 4, i + 4);
@@ -670,10 +677,11 @@ def solve_pencil(A, B, count, seed=201):
     A - sigma B bracket each wanted eigenvalue and certify its index
     (``_brackets``); seeded inverse iteration with a banded LU of
     A - sigma B at each bracket midpoint gives the vectors, B-orthogonalised
-    within any bracket that holds more than one eigenvalue.  The pencil must
-    have half-bandwidth p <= 3 and size n >= 4, as every Hermite-cubic
-    sector pencil does (p = 3); another raises ValueError before any
-    factorization.
+    within any bracket that holds more than one eigenvalue; the last solve
+    is refined twice against a residual summed in extended precision.  The
+    pencil must have half-bandwidth p <= 3 and size n >= 4, as every
+    Hermite-cubic sector pencil does (p = 3); another raises ValueError
+    before any factorization.
 
     Each value is the Rayleigh quotient of its vector.  It must lie in its
     bracket widened by ``_BRACKET_SLACK`` relative, and pass the residual
@@ -707,11 +715,21 @@ def solve_pencil(A, B, count, seed=201):
     for step in range(_BANDED_PASSES):
         Z = _narrow_solve(factors, BZ)
         if step == _BANDED_PASSES - 1:
-            # The solve leaves rounding noise of relative size up to 1e-4
-            # across the other modes on the finest meshes (whose Rayleigh
-            # quotient then drifts by 1e-8); one step of refinement in
-            # working precision removes it.
-            Z += _narrow_solve(factors, BZ - _band_matvec(a, Z) + shifts * _band_matvec(b, Z))
+            # The solve leaves rounding noise across the other modes.  On
+            # the finest meshes (N = 4095) the unrefined vector misses the
+            # residual gate by 100x, and with one working-precision step
+            # its Rayleigh quotient still moves by up to 3e-7 with the
+            # shift and the seed.  Iterative refinement against a residual
+            # summed in extended precision (Moler, JACM 14, 1967) contracts
+            # the noise by about eps kappa(A - sigma B) per step, which is
+            # not small there, so two steps are taken.  The bands and Z
+            # convert exactly, and the sum (a 64-bit significand on x86;
+            # plain double where np.longdouble is double) is rounded once.
+            a_ext, b_ext = a.astype(np.longdouble), b.astype(np.longdouble)
+            for _ in range(_REFINEMENTS):
+                Z_ext = Z.astype(np.longdouble)
+                residual = BZ - _band_matvec(a_ext, Z_ext) + shifts * _band_matvec(b_ext, Z_ext)
+                Z += _narrow_solve(factors, residual.astype(float))
         # A column with entries of 1 or more is first scaled below 1 by a
         # power of two, exactly, so the normalized vector keeps its bits: a
         # solve at a shift within 1e-303 of an eigenvalue of size 1e-300
