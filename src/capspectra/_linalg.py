@@ -11,16 +11,18 @@ never forms a dense factor:
 
     LDL^T of A - sigma B, one shift at a time -> inertia counts
     (Sylvester's law) -> bisection brackets of the lowest eigenvalues
-    -> banded LU with partial pivoting at the bracket midpoints -> seeded
-    inverse iteration for the eigenvectors -> Rayleigh quotients, gated by
-    their residual and their count brackets.
+    -> the same LDL^T at the bracket midpoints -> seeded inverse iteration
+    for the eigenvectors -> Rayleigh quotients, gated by their residual and
+    their count brackets.
 
-Every factorization takes one shift, in a kernel unrolled on Python
-floats: the LDL^T count (``_narrow_count``), which factors B, places the
-first shifts and bisects each open bracket, and also makes the sector
-skip count in ``eigensolve``; the LU at the bracket midpoints
-(``_narrow_lu``) and its solves (``_narrow_solve``).  The counts certify
-the index of every returned eigenvalue.
+There is one factorization, unpivoted LDL^T, run one shift at a time in
+kernels unrolled on Python floats: the count (``_narrow_count``), which
+factors B, places the first shifts and bisects each open bracket, and
+also makes the sector skip count in ``eigensolve``; and the same
+recurrence keeping its factors at the bracket midpoints (``_narrow_ldl``)
+for the inverse-iteration solves (``_ldl_solve``).  Without row swaps the
+factors scale exactly with a diagonal scaling of the pencil.  The counts
+certify the index of every returned eigenvalue.
 
 The dense chain
 
@@ -363,8 +365,10 @@ def inertia_counts(a, b, shifts):
 # every factorization runs one shift at a time on Python floats, with the
 # window of the row loop unrolled into local variables.  Python raises
 # ZeroDivisionError where numpy yields inf or nan: the count never divides
-# by a zero pivot (it takes -pivmin in its place), and the LU declines a
-# shift that meets one (``_narrow_lu`` then raises ConvergenceError).
+# by a zero pivot (it takes -pivmin in its place), and the factorization
+# for inverse iteration stops at one (``_narrow_ldl`` raises
+# ConvergenceError).  Neither pivots: the count needs the LDL^T pivots, and
+# the solves take the same factors.
 # ---------------------------------------------------------------------------
 
 
@@ -434,130 +438,69 @@ def _narrow_count(a, b, sigma):
     return negative
 
 
-def _narrow_lu_one(a, b, sigma):
-    """LU with partial pivoting of A - sigma B at one shift, for p <= 3, or None.
+def _narrow_ldl(a, b, sigma):
+    """LDL^T of A - sigma B at one shift, for p <= 3, on Python floats.
 
-    Returns (offsets, multipliers, reciprocals, upper), sequences of
-    Python numbers: per row i the offset P[i] of the row swapped into place
-    and the multipliers L[i] (three sequences); the reciprocal pivots; and,
-    for back substitution by columns from the last, the entries U[j - c, c]
-    of column j, c = 1..6 (six sequences, last column first).  Returns
-    None where a pivot is zero or a multiplier is not finite.
-
-    Rows are swapped within the active window of four rows, so U has upper
-    bandwidth 6.  The window holds rows i .. i + 3 of the active matrix in
-    columns i .. i + 6 (x_rc).  Rows 0..2 are zero in column 6; row 3 is
-    the next original row.
+    The recurrence of ``_narrow_count``, without pivoting, keeping per row i
+    the pivot d_i and the multipliers l_{i+1,i}, l_{i+2,i}, l_{i+3,i}.
+    Returns (pivots, [l1, l2, l3]), four sequences of length n; the
+    multipliers of the last rows into the padding are zero.  An exactly zero
+    pivot or a non-finite factor raises ConvergenceError, since solves with
+    such factors could only return inf or nan.  A non-finite multiplier
+    reaches a later pivot, so the sum of the pivots tells (a finite sum that
+    overflowed lands there too).
     """
     e0, e1, e2, e3 = _diagonals(a, b, sigma)
-    n = len(e0)
-    # row i + 4 of A - sigma B in columns i + 1 .. i + 7, identity past n
-    tail = [0.0] * 4
-    incoming = zip(
-        e3[1:] + [0.0],
-        e2[2:] + [0.0] * 2,
-        e1[3:] + [0.0] * 3,
-        e0[4:] + [1.0] * 4,
-        e1[4:] + tail,
-        e2[4:] + tail,
-        e3[4:] + tail,
-    )
-    x00, x01, x02, x03, x04, x05 = e0[0], e1[0], e2[0], e3[0], 0.0, 0.0
-    x10, x11, x12, x13, x14, x15 = e1[0], e0[1], e1[1], e2[1], e3[1], 0.0
-    x20, x21, x22, x23, x24, x25 = e2[0], e1[1], e0[2], e1[2], e2[2], e3[2]
-    x30, x31, x32, x33, x34, x35, x36 = e3[0], e2[1], e1[2], e0[3], e1[3], e2[3], e3[3]
+    incoming = zip(e3[1:] + [0.0], e2[2:] + [0.0] * 2, e1[3:] + [0.0] * 3, e0[4:] + [1.0] * 4)
+    w00, w01, w02, w03 = e0[0], e1[0], e2[0], e3[0]
+    w11, w12, w13 = e0[1], e1[1], e2[1]
+    w22, w23 = e0[2], e1[2]
+    w33 = e0[3]
     rows = []
     keep = rows.append
     try:
-        for c0, c1, c2, c3, c4, c5, c6 in incoming:
-            # the first row of largest |x_r0| is the pivot row
-            piv, big = 0, abs(x00)
-            if abs(x10) > big:
-                piv, big = 1, abs(x10)
-            if abs(x20) > big:
-                piv, big = 2, abs(x20)
-            if abs(x30) > big:
-                piv = 3
-            if piv == 0:
-                u0, u1, u2, u3, u4, u5, u6 = x00, x01, x02, x03, x04, x05, 0.0
-            elif piv == 1:
-                u0, u1, u2, u3, u4, u5, u6 = x10, x11, x12, x13, x14, x15, 0.0
-                x10, x11, x12, x13, x14, x15 = x00, x01, x02, x03, x04, x05
-            elif piv == 2:
-                u0, u1, u2, u3, u4, u5, u6 = x20, x21, x22, x23, x24, x25, 0.0
-                x20, x21, x22, x23, x24, x25 = x00, x01, x02, x03, x04, x05
-            else:
-                u0, u1, u2, u3, u4, u5, u6 = x30, x31, x32, x33, x34, x35, x36
-                x30, x31, x32, x33, x34, x35, x36 = x00, x01, x02, x03, x04, x05, 0.0
-            m1 = x10 / u0
-            m2 = x20 / u0
-            m3 = x30 / u0
-            keep((piv, m1, m2, m3, u0, u1, u2, u3, u4, u5, u6))
-            x00, x01, x02 = x11 - m1 * u1, x12 - m1 * u2, x13 - m1 * u3
-            x03, x04, x05 = x14 - m1 * u4, x15 - m1 * u5, 0.0 - m1 * u6
-            x10, x11, x12 = x21 - m2 * u1, x22 - m2 * u2, x23 - m2 * u3
-            x13, x14, x15 = x24 - m2 * u4, x25 - m2 * u5, 0.0 - m2 * u6
-            x20, x21, x22 = x31 - m3 * u1, x32 - m3 * u2, x33 - m3 * u3
-            x23, x24, x25 = x34 - m3 * u4, x35 - m3 * u5, x36 - m3 * u6
-            x30, x31, x32, x33, x34, x35, x36 = c0, c1, c2, c3, c4, c5, c6
+        for c0, c1, c2, c3 in incoming:
+            r1 = w01 / w00
+            r2 = w02 / w00
+            r3 = w03 / w00
+            keep((w00, r1, r2, r3))
+            w00, w01, w02, w03, w11, w12, w13, w22, w23, w33 = (
+                w11 - r1 * w01, w12 - r1 * w02, w13 - r1 * w03, c0,
+                w22 - r2 * w02, w23 - r2 * w03, c1,
+                w33 - r3 * w03, c2,
+                c3,
+            )
     except ZeroDivisionError:
-        return None
-    offsets, m1s, m2s, m3s, pivots, *diagonals = zip(*rows)
-    # a non-finite multiplier marks a nan or inf in the pivot column; finite
-    # multipliers are at most 1 in magnitude, so their sum cannot overflow
-    if not math.isfinite(sum(m1s) + sum(m2s) + sum(m3s)):
-        return None
-    reciprocals = [1.0 / u0 for u0 in reversed(pivots)]
-    # column j holds U[j - c, c]: diagonal c shifted down by c; the rows
-    # above row 0 it reaches are never read
-    upper = [((0.0,) * c + u)[n - 1 :: -1] for c, u in enumerate(diagonals, 1)]
-    return offsets, (m1s, m2s, m3s), reciprocals, upper
+        pass
+    else:
+        pivots, *multipliers = zip(*rows)
+        if math.isfinite(sum(pivots)):
+            return pivots, multipliers
+    raise ConvergenceError("inverse iteration broke down on a singular shifted pencil")
 
 
-def _narrow_lu(a, b, shifts):
-    """``_narrow_lu_one`` at each shift; ConvergenceError if it declines one.
+def _ldl_solve(factors, X):
+    """Solve (A - sigma_k B) y_k = X[:, k] on the ``_narrow_ldl`` factors of each shift k.
 
-    A declined shift met an exactly zero pivot or overflowed, so solves
-    with its factors could only return inf or nan.
-    """
-    factors = [_narrow_lu_one(a, b, sigma) for sigma in shifts.tolist()]
-    if any(one is None for one in factors):
-        raise ConvergenceError("inverse iteration broke down on a singular shifted pencil")
-    return factors
-
-
-def _narrow_solve(factors, X):
-    """Solve (A - sigma_k B) y_k = X[:, k] on the ``_narrow_lu`` factors of each shift k.
-
-    Forward elimination replays the row swaps and keeps rows i .. i + 3 of
-    y in a window; back substitution runs by columns from the last, keeping
-    the six rows above each column.  Returns Y in C order.
+    The forward pass with the unit lower L keeps rows i .. i + 2 of the
+    partial solution in a window and divides each finished row by its
+    pivot; the back pass with L^T runs from the last row, keeping the three
+    rows below.  Returns Y in C order.
     """
     n, s = X.shape
     Y = np.empty((n, s))
-    for k, (offsets, (m1s, m2s, m3s), reciprocals, upper) in enumerate(factors):
+    for k, (pivots, (l1s, l2s, l3s)) in enumerate(factors):
         x = X[:, k].tolist()
         y0, y1, y2 = x[0], x[1], x[2]
         forward = []
-        for d, m1, m2, m3, y3 in zip(offsets, m1s, m2s, m3s, x[3:] + [0.0] * 3):
-            if d:
-                if d == 1:
-                    y0, y1 = y1, y0
-                elif d == 2:
-                    y0, y2 = y2, y0
-                else:
-                    y0, y3 = y3, y0
-            forward.append(y0)
-            y0, y1, y2 = y1 - m1 * y0, y2 - m2 * y0, y3 - m3 * y0
-        # z_t is row j - t at column j; rows above row 0 only collect
-        # discarded updates
-        z0, z1, z2, z3, z4, z5, z6 = (forward[n - 1 - t] if t < n else 0.0 for t in range(7))
+        for d, l1, l2, l3, y3 in zip(pivots, l1s, l2s, l3s, x[3:] + [0.0] * 3):
+            forward.append(y0 / d)
+            y0, y1, y2 = y1 - l1 * y0, y2 - l2 * y0, y3 - l3 * y0
+        z1 = z2 = z3 = 0.0
         back = []
-        for r, c1, c2, c3, c4, c5, c6, fresh in zip(reciprocals, *upper, forward[-8::-1] + [0.0] * 7):
-            xj = z0 * r
-            back.append(xj)
-            z0, z1, z2, z3, z4, z5 = z1 - c1 * xj, z2 - c2 * xj, z3 - c3 * xj, z4 - c4 * xj, z5 - c5 * xj, z6 - c6 * xj
-            z6 = fresh
+        for w, l1, l2, l3 in zip(reversed(forward), reversed(l1s), reversed(l2s), reversed(l3s)):
+            z1, z2, z3 = w - l1 * z1 - l2 * z2 - l3 * z3, z1, z2
+            back.append(z1)
         back.reverse()
         Y[:, k] = back
     return Y
@@ -675,15 +618,17 @@ def solve_pencil(A, B, count, seed=201):
     and an (n, count) array of B-orthonormal eigenvectors.  The solve never
     forms a dense factor.  Inertia counts of LDL^T factorizations of
     A - sigma B bracket each wanted eigenvalue and certify its index
-    (``_brackets``); seeded inverse iteration with a banded LU of
-    A - sigma B at each bracket midpoint gives the vectors, B-orthogonalised
-    within any bracket that holds more than one eigenvalue; the last solve
-    is refined twice against a residual summed in extended precision.  The
+    (``_brackets``); seeded inverse iteration with the same unpivoted
+    LDL^T of A - sigma B at each bracket midpoint gives the vectors,
+    B-orthogonalised within any bracket that holds more than one eigenvalue;
+    the last solve is refined twice against a residual summed in extended
+    precision.  The
     pencil must have half-bandwidth p <= 3 and size n >= 4, as every
     Hermite-cubic sector pencil does (p = 3); another raises ValueError
     before any factorization.
 
-    Each value is the Rayleigh quotient of its vector.  It must lie in its
+    Each value is the Rayleigh quotient of its vector, summed in extended
+    precision as its residual is, and rounded once.  It must lie in its
     bracket widened by ``_BRACKET_SLACK`` relative, and pass the residual
     test ||A x - lam B x|| <= tol ||A x||, where tol is ``_RESIDUAL_TOL``
     widened, if necessary, to the rounding floor of the residual
@@ -706,14 +651,17 @@ def solve_pencil(A, B, count, seed=201):
     lo = counts.shifts[positions]
     hi = counts.shifts[np.add(positions, 1)]
     shifts = 0.5 * (lo + hi)
-    factors = _narrow_lu(a, b, shifts)
+    factors = [_narrow_ldl(a, b, sigma) for sigma in shifts.tolist()]
     clusters = [[i for i in range(count) if positions[i] == j] for j in sorted(set(positions))]
     clusters = [members for members in clusters if len(members) > 1]
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, count))
     BZ = _band_matvec(b, Z)
+    # the bands and Z convert exactly to np.longdouble (a 64-bit
+    # significand on x86; plain double where np.longdouble is double)
+    a_ext, b_ext = a.astype(np.longdouble), b.astype(np.longdouble)
     for step in range(_BANDED_PASSES):
-        Z = _narrow_solve(factors, BZ)
+        Z = _ldl_solve(factors, BZ)
         if step == _BANDED_PASSES - 1:
             # The solve leaves rounding noise across the other modes.  On
             # the finest meshes (N = 4095) the unrefined vector misses the
@@ -722,14 +670,12 @@ def solve_pencil(A, B, count, seed=201):
             # shift and the seed.  Iterative refinement against a residual
             # summed in extended precision (Moler, JACM 14, 1967) contracts
             # the noise by about eps kappa(A - sigma B) per step, which is
-            # not small there, so two steps are taken.  The bands and Z
-            # convert exactly, and the sum (a 64-bit significand on x86;
-            # plain double where np.longdouble is double) is rounded once.
-            a_ext, b_ext = a.astype(np.longdouble), b.astype(np.longdouble)
+            # not small there, so two steps are taken.  The extended sum is
+            # rounded once.
             for _ in range(_REFINEMENTS):
                 Z_ext = Z.astype(np.longdouble)
                 residual = BZ - _band_matvec(a_ext, Z_ext) + shifts * _band_matvec(b_ext, Z_ext)
-                Z += _narrow_solve(factors, residual.astype(float))
+                Z += _ldl_solve(factors, residual.astype(float))
         # A column with entries of 1 or more is first scaled below 1 by a
         # power of two, exactly, so the normalized vector keeps its bits: a
         # solve at a shift within 1e-303 of an eigenvalue of size 1e-300
@@ -744,10 +690,18 @@ def solve_pencil(A, B, count, seed=201):
         Z /= norms
         BZ /= norms
 
-    AZ = _band_matvec(a, Z)
-    values = np.einsum("ij,ij->j", Z, AZ)
-    ax_norm = np.maximum(np.linalg.norm(AZ, axis=0), _EPS)
-    resid_rel = np.linalg.norm(AZ - values * BZ, axis=0) / ax_norm
+    # The Rayleigh quotients and the residuals are summed in extended
+    # precision too, and rounded once.  In double their own rounding noise
+    # is large where the entries of A span many decades: on the n = 16 cap
+    # of aperture 3 at m = 256, one quotient summed in double was 2.6e-8
+    # off its extended sum, and its residual read 2.6e-8 against 2.2e-9.
+    Z_ext = Z.astype(np.longdouble)
+    AZ_ext = _band_matvec(a_ext, Z_ext)
+    values_ext = np.einsum("ij,ij->j", Z_ext, AZ_ext)
+    residual = np.linalg.norm(AZ_ext - values_ext * _band_matvec(b_ext, Z_ext), axis=0)
+    values = values_ext.astype(float)
+    ax_norm = np.maximum(np.linalg.norm(AZ_ext.astype(float), axis=0), _EPS)
+    resid_rel = residual.astype(float) / ax_norm
     # Entries of A grow like h**-3, so evaluating A @ x for a smooth
     # eigenvector cancels many large terms and the computed residual
     # carries rounding noise of size eps * || (|A| + lam |B|) |x| ||

@@ -373,6 +373,44 @@ def test_zero_b_norm_exits_three_without_a_warning():
     assert err == "error: inverse iteration broke down on a singular shifted pencil\n"
 
 
+def _sector_spectrum(*argv):
+    """(l, k, lambda) of each printed eigenvalue, k its index within sector l."""
+    rc, out, err = _run("solve", *argv)
+    assert (rc, err) == (0, "")
+    rows, seen = [], {}
+    for row in json.loads(out)["spectrum"]:
+        if row["index"] == 1:
+            seen[row["l"]] = seen.get(row["l"], 0) + 1
+        rows.append((row["l"], seen[row["l"]], row["lambda"]))
+    return rows
+
+
+# The radial weight t**(n - 1) spans many decades at tiny apertures and at
+# n = 16, and so does the pencil's diagonal: inverse iteration must not
+# depend on the scale of the DOFs (a pivoted LU, whose row swaps do, exited 3
+# on all three).
+
+
+def test_tiny_cap_matches_the_cap_oracle():
+    for l, k, value in _sector_spectrum("--geometry", "spherical", "--dim", "2", "--aperture", "1e-6",
+                                        "--elements", "1024"):
+        assert value == pytest.approx(eigensolve.cap_eigenvalue(2, l, 1e-6, k), rel=1e-10)
+
+
+def test_tiny_ball_matches_the_unit_ball():
+    # lambda_1 R**2 = j_{5/2,1}**2 for the ball of radius R in R**5
+    l, k, value = _sector_spectrum("--geometry", "flat", "--dim", "5", "--aperture", "1e-8",
+                                   "--elements", "512")[0]
+    assert (l, k) == (0, 1)
+    assert value * 1e-16 == pytest.approx(33.2174619142684, rel=1e-10)
+
+
+def test_sixteen_dimensional_ball_matches_the_bessel_oracle():
+    for l, k, value in _sector_spectrum("--geometry", "flat", "--dim", "16", "--aperture", "1",
+                                        "--elements", "128"):
+        assert value == pytest.approx(eigensolve.bessel_zero(l + 8, k) ** 2, rel=1e-7)
+
+
 def test_unknown_subcommand_exits_two():
     rc, _, _ = _run("polish")
     assert rc == 2
@@ -408,21 +446,21 @@ def test_module_entry_points_run_the_cli(module):
 #: here on purpose and records the move in CHANGES.md.
 GOLDEN = [
     ("solve --geometry flat --dim 2 --aperture 1.0 --elements 64", 0,
-     "20a13e4c815644e7219568962a54cfc532ed0218aacc44105c2eccdc8a4bbd43"),
+     "8cfa70fd91d8df3c9332ff97f4e8ad5b80a0aeaddfaf8b64edc36ae5e105084c"),
     ("solve --geometry flat --dim 5 --aperture 0.7 --elements 32 --num-eigs 10", 0,
-     "6d407aff30f75db6b47c49755646d1ffc9d36a4719074c9b29d87c2b10567087"),
+     "0e70cd8460700d17136acd15bba73c6a0a238aacd7a486d13867db890014ca80"),
     ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --num-eigs 8", 0,
-     "d7dfef54eb15967245ffc07806cb441b6c14314bc8a7105ca5e8bde877a0f2ea"),
+     "1c923523ecf06c80d460d56570356ca0a74d752a931ac6afa6f07a8780bb89ed"),
     ("solve --geometry spherical --dim 2 --aperture 0.002 --elements 32", 0,
-     "71ded90afa01350896d2cbdefabde9345179d11b4becb14b00daa47fdf016ab7"),
+     "ae9e2385be7d3d614ab3411f3267475399528194a05e398374e8f6c790b7abe8"),
     ("sweep --geometry spherical --dim 2 --aperture 0.5:3.0:0.5 --elements 32", 0,
-     "0d3f499d3d8d0ce9995dce7d5ce9f364076c16d45c07d472adb27776c6ced8c9"),
+     "ce1024d5967de581196a810286de848583b1e5964774402d40398dac7131fb17"),
     ("sweep --geometry spherical --dim 5 --aperture 0.4:2.8:0.6 --elements 24 --num-eigs 4", 0,
-     "1941a85b53093dde704b92446e47222f5cbe799b7c126cd372bd58eabf583b38"),
+     "1d0c9d3598e1b59b955af229466977d5fde5e2c5c0dea3443732c69483d415c3"),
     ("identities --geometry spherical --dim 2 --aperture 1.0 --elements 64", 0,
-     "b1709a6846b60298ff1abac6ec23c3e509b725fbe07488593e432e78aaf6afda"),
+     "435f77fdd5334c3581093dbf0087650a2ed09a238a11d285d3b9722b45f4c0ed"),
     ("identities --geometry spherical --dim 4 --aperture 2.0 --elements 32", 0,
-     "5528510f4d6337f0331c02153193098954e70c9657d68715ab0a8a1c01495e9d"),
+     "7f615cac391cff914e47b643ecc4005f95e793508f74749db64b2900460624e3"),
 ]
 
 

@@ -266,6 +266,24 @@ def test_fine_mesh_value_does_not_depend_on_the_seed():
         assert abs(value - ref) <= 1e-10 * ref
 
 
+@pytest.mark.parametrize(
+    "geometry,dim,aperture,l,m",
+    [("flat", 2, 1.0, 0, 64), ("spherical", 3, 1.0, 1, 128), ("flat", 5, 1.0, 2, 256)],
+)
+def test_solve_pencil_does_not_depend_on_the_slope_scale(geometry, dim, aperture, l, m):
+    # D A D, D B D with D scaling the slope DOFs by a power of two has the
+    # spectrum of A, B, and the LDL^T factors scale exactly with D (row
+    # swaps chosen by magnitude would not: a pivoted LU moved these values
+    # by up to 2.5e-10 and broke down at 2**-60 on the disk)
+    pencil = _sector_pencil(geometry, dim, aperture, l, m)
+    ref, _ = cs.solve_pencil(pencil.A, pencil.B, count=6)
+    slope = np.array([kind for _, kind in pencil.dof_map]) == 1
+    for power in (-10, -30, -60):
+        d = np.where(slope, 2.0**power, 1.0)
+        values, _ = cs.solve_pencil(d[:, None] * pencil.A * d, d[:, None] * pencil.B * d, count=6)
+        assert np.allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
 def test_inertia_count_goes_on_past_an_exactly_zero_pivot():
     # at sigma = max|a0| / max|b0|, where _brackets starts, the first pivot
     # of this sector pencil is exactly zero; the count takes it as negative,
@@ -287,18 +305,19 @@ def _diagonal_bands(n, p):
 
 
 def test_banded_lu_zero_pivot_leaves_no_warning():
-    # at shift 4 the first pivot of 4 I - 4 I is exactly zero: the LU declines
-    # the shift and the solve stops on a singular shifted pencil, without
-    # a numpy warning; the count takes every zero pivot as negative, so the
-    # n eigenvalues equal to the shift count as below it
+    # at shift 4 the first pivot of 4 I - 4 I is exactly zero: the LDL^T
+    # factorization (the banded LU with U = D L^T) stops on a singular
+    # shifted pencil, without a numpy warning; the count takes every zero
+    # pivot as negative, so the n eigenvalues equal to the shift count as
+    # below it
     for n, p in [(5, 1), (6, 0)]:
         a, b = _diagonal_bands(n, p)
-        assert _linalg._narrow_lu_one(a, b, 4.0) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _linalg.inertia_counts(a, b, [4.0])[0] == n
+            _linalg._narrow_ldl(a, b, 1.0)
             with pytest.raises(_linalg.ConvergenceError, match="singular shifted pencil"):
-                _linalg._narrow_lu(a, b, np.array([1.0, 4.0]))
+                _linalg._narrow_ldl(a, b, 4.0)
 
 
 def test_solve_pencil_rejects_value_outside_its_bracket(monkeypatch):
@@ -363,14 +382,15 @@ def _assert_solves(M, p, Y, X):
     ],
 )
 def test_narrow_lu_solve_is_backward_stable(geometry, dim, aperture, l, m, lanes):
-    # at the bracket midpoints solve_pencil factors, where A - sigma B is
+    # the LDL^T solve (the banded LU with U = D L^T, without pivoting) at
+    # the bracket midpoints solve_pencil factors, where A - sigma B is
     # nearly singular
     pencil = _sector_pencil(geometry, dim, aperture, l, m)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
     assert a.shape[0] == 4
     shifts = _midpoint_shifts(a, b, lanes)
     X = np.random.default_rng(lanes).standard_normal((a.shape[1], lanes))
-    Y = _linalg._narrow_solve(_linalg._narrow_lu(a, b, shifts), X)
+    Y = _linalg._ldl_solve([_linalg._narrow_ldl(a, b, sigma) for sigma in shifts], X)
     # C order: later reductions over the rows depend on the layout for
     # their rounding
     assert Y.flags["C_CONTIGUOUS"]
@@ -394,22 +414,25 @@ def _kernel_count(a, b, sigma):
     scale=st.sampled_from([1.0, 1e307]),
 )
 # shift 4 makes every pivot 4 - 4 * 1 exactly zero: A = 4 I, B = I (seed
-# None), so the LU declines the shift, and the LDL^T count takes each zero
-# pivot as negative and counts the n eigenvalues equal to 4 (dlaebz's rule)
+# None), so the LDL^T factorization declines the shift, and the LDL^T count
+# takes each zero pivot as negative and counts the n eigenvalues equal to 4
+# (dlaebz's rule)
 @example(seed=None, n=5, p=1, shifts=[4.0], scale=1.0)
 @example(seed=None, n=6, p=0, shifts=[4.0, 1.0], scale=1.0)
 # near the top of the double range the scaled bands overflow (seed 8), or
-# stay finite while the updates overflow and the LU declines (seed 125)
+# stay finite while the updates overflow and the factorization declines
+# (seed 125)
 @example(seed=8, n=8, p=3, shifts=[1.0], scale=1e307)
 @example(seed=125, n=8, p=3, shifts=[1.0], scale=1e307)
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def test_narrow_kernels_match_scipy_on_random_band_pencils(seed, n, p, shifts, scale):
     # the count is the number of dense eigenvalues of the unscaled pencil at
     # or below sigma / scale, or, where scaling by 1e307 overflowed the
-    # factorization, ConvergenceError; the LU and its solve are backward
-    # stable on the pencil scaled back to unit size, or the LU declines the
-    # shift and _narrow_lu raises.  solve_pencil factors only finite
-    # pencils, so the LU is not tried where scaling overflowed.
+    # factorization, ConvergenceError; the LDL^T factorization and its
+    # solve are backward stable on the pencil scaled back to unit size, or
+    # _narrow_ldl declines the shift with ConvergenceError.  solve_pencil
+    # factors only finite pencils, so the factorization is not tried where
+    # scaling overflowed.
     if seed is None:
         A, B = 4.0 * np.eye(n), np.eye(n)
         a, b = _diagonal_bands(n, p)
@@ -425,12 +448,12 @@ def test_narrow_kernels_match_scipy_on_random_band_pencils(seed, n, p, shifts, s
         assert _kernel_count(a, b, sigma) in ((dense,) if scale == 1.0 else (dense, overflowed))
         if not finite:
             continue
-        one = _linalg._narrow_lu_one(a, b, sigma)
-        if one is None:
-            with pytest.raises(_linalg.ConvergenceError, match="singular shifted pencil"):
-                _linalg._narrow_lu(a, b, np.array([sigma]))
+        try:
+            one = _linalg._narrow_ldl(a, b, sigma)
+        except _linalg.ConvergenceError as exc:
+            assert "singular shifted pencil" in str(exc)
             continue
-        Y = _linalg._narrow_solve([one], X)
+        Y = _linalg._ldl_solve([one], X)
         _assert_solves(A - sigma / scale * B, p, scale * Y, X)
 
 
