@@ -8,8 +8,8 @@ where Omega is a geodesic cap on the unit n-sphere or a ball in R^n.
 Separation into harmonic sectors reduces each problem to a radial
 fourth-order pencil with half-bandwidth 3, discretised with C^1 Hermite
 cubics.  A banded solver brackets its lowest eigenvalues by LDL^T inertia
-counts (Sylvester's law) and bisection, which certify each eigenvalue's
-index, and finds the eigenvectors by inverse iteration on the same
+counts (Sylvester's law), split by bisection and by regula-falsi steps on
+the determinant, which certify each eigenvalue's index, and finds the eigenvectors by inverse iteration on the same
 unpivoted LDL^T factorization.
 Exact oracles check the pipeline: squared Bessel zeros on flat disks and a
 hypergeometric Wronskian on spherical caps.  On top of the spectra the package

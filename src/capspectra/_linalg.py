@@ -10,14 +10,16 @@ and size n >= 4, as every Hermite-cubic sector pencil is (p = 3), and
 never forms a dense factor:
 
     LDL^T of A - sigma B, one shift at a time -> inertia counts
-    (Sylvester's law) -> bisection brackets of the lowest eigenvalues
+    (Sylvester's law) and log |det(A - sigma B)| -> brackets of the lowest
+    eigenvalues, by bisection until each holds one eigenvalue and then by
+    regula-falsi steps on the determinant
     -> the same LDL^T at the bracket midpoints -> seeded inverse iteration
     for the eigenvectors -> Rayleigh quotients, gated by their residual and
     their count brackets.
 
 There is one factorization, unpivoted LDL^T, run one shift at a time in
 kernels unrolled on Python floats: the count (``_narrow_count``), which
-factors B, places the first shifts and bisects each open bracket, and
+factors B, places the first shifts and splits each open bracket, and
 also makes the sector skip count in ``eigensolve``; and the same
 recurrence keeping its factors at the bracket midpoints (``_narrow_ldl``)
 for the inverse-iteration solves (``_ldl_solve``).  Without row swaps the
@@ -36,6 +38,7 @@ and ``perfbench`` times them, but ``solve_pencil`` does not call it.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 
@@ -65,15 +68,18 @@ _QL_MAX_SWEEPS = 50
 #: inverse-iteration solves per eigenvector (dense reference chain)
 _INVERSE_PASSES = 4
 #: relative slack by which a returned eigenvalue may sit outside its count
-#: bracket: the counts see the rounded pencil, and x^T A x carries rounding
-#: noise of up to 2e-7 relative on the finest sector meshes (N = 1023)
+#: bracket.  The Rayleigh quotient is summed in extended precision, but the
+#: counts run in double on the pencil rounded to double, and on the finest
+#: sector meshes they misplace an eigenvalue: on the disk at N = 2047 the
+#: count was not monotone within 2e-7 relative of it.  ``eigensolve``
+#: widens the head's shift by the same slack.
 _BRACKET_SLACK = 1e-6
 #: largest inverse-iteration contraction accepted at a bracket midpoint
 _CONTRACTION = 1e-3
 #: relative width below which a bracket holding several eigenvalues is
 #: accepted as one cluster
 _CLUSTER_RTOL = 1e-10
-#: count passes allowed before bisection counts as stalled
+#: count passes allowed before the bracket search counts as stalled
 _MAX_COUNT_PASSES = 60
 #: banded inverse-iteration solves per eigenvector
 _BANDED_PASSES = 4
@@ -81,6 +87,8 @@ _BANDED_PASSES = 4
 _REFINEMENTS = 2
 #: factor by which each widening pass moves the outer count shift outward
 _WIDEN = 16.0
+#: log 2, the Illinois rule's halving of |det| on the log scale
+_LOG2 = math.log(2.0)
 #: the int64 with only the sign bit set
 _INT64_MIN = -(1 << 63)
 
@@ -355,7 +363,7 @@ def inertia_counts(a, b, shifts):
     """
     _check_bands(a)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    return np.array([_narrow_count(a, b, sigma) for sigma in shifts.tolist()], dtype=np.intp)
+    return np.array([_narrow_count(a, b, sigma)[0] for sigma in shifts.tolist()], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +395,10 @@ def _diagonals(a, b, sigma):
 def _narrow_count(a, b, sigma):
     """``inertia_counts`` at one shift, for p <= 3, on Python floats.
 
+    Returns (count, logdet): the number of negative pivots and
+    log |det(A - sigma B)|, the sum of log |d_i| over the pivots, whose
+    sign is (-1)**count.
+
     One pass of LDL^T over the rows, with the bands zero-padded to p = 3.
     The window w holds the trailing 4 x 4 Schur complement; each step takes
     its leading pivot, updates the rest and shifts in the next column.
@@ -414,7 +426,8 @@ def _narrow_count(a, b, sigma):
     w22, w23 = e0[2], e1[2]
     w33 = e0[3]
     negative = 0
-    total = 0.0
+    pivots = []
+    keep = pivots.append
     for c0, c1, c2, c3 in incoming:
         if w00 <= 0.0:
             negative += 1
@@ -422,7 +435,7 @@ def _narrow_count(a, b, sigma):
                 # 1 where A - sigma B is the zero matrix: every pivot is
                 # then zero, and any stand-in gives the count n
                 w00 = -(_EPS * (float(np.max(np.abs(a))) + abs(sigma) * float(np.max(np.abs(b)))) or 1.0)
-        total += w00
+        keep(w00)
         r1 = w01 / w00
         r2 = w02 / w00
         r3 = w03 / w00
@@ -432,10 +445,13 @@ def _narrow_count(a, b, sigma):
             w33 - r3 * w03, c2,
             c3,
         )
-    if not math.isfinite(total):
-        # a nan or inf pivot (a finite sum that overflowed lands here too)
+    # no pivot is zero, so every finite pivot has a finite log; numpy takes
+    # the logs of an inf or nan pivot without a warning
+    logdet = float(np.log(np.abs(pivots)).sum())
+    if not math.isfinite(logdet):
+        # a nan or inf pivot
         raise ConvergenceError("LDL^T inertia count broke down on a singular leading block")
-    return negative
+    return negative, logdet
 
 
 def _narrow_ldl(a, b, sigma):
@@ -507,23 +523,30 @@ def _ldl_solve(factors, X):
 
 
 class _Counts:
-    """Every shift evaluated so far with its inertia count, sorted by shift."""
+    """Every shift evaluated so far with its inertia count and log |det|, sorted by shift.
+
+    Three parallel lists; an insert checks that the counts stay monotone.
+    """
 
     def __init__(self):
-        self.shifts = np.empty(0)
-        self.counts = np.empty(0, dtype=np.intp)
+        self.shifts = []
+        self.counts = []
+        self.logdets = []
 
-    def add(self, shifts, counts):
-        shifts = np.concatenate([self.shifts, shifts])
-        counts = np.concatenate([self.counts, counts])
-        order = np.argsort(shifts, kind="stable")
-        self.shifts, self.counts = shifts[order], counts[order]
-        if np.any(np.diff(self.counts) < 0):
-            raise ConvergenceError("inertia counts are not monotone in the shift")
+    def add(self, shifts, found):
+        """Insert each shift with its ``_narrow_count`` result (count, logdet)."""
+        for sigma, (count, logdet) in zip(shifts, found):
+            # after any equal shift, as a stable sort would place it
+            j = bisect.bisect_right(self.shifts, sigma)
+            if (j > 0 and self.counts[j - 1] > count) or (j < len(self.counts) and count > self.counts[j]):
+                raise ConvergenceError("inertia counts are not monotone in the shift")
+            self.shifts.insert(j, sigma)
+            self.counts.insert(j, count)
+            self.logdets.insert(j, logdet)
 
     def bracket(self, i):
         """Position j of the tightest bracket shifts[j] < lam_i <= shifts[j + 1]."""
-        return int(np.searchsorted(self.counts, i, side="right")) - 1
+        return bisect.bisect_right(self.counts, i) - 1
 
     def contraction(self, j):
         """Bound on the inverse-iteration contraction at the midpoint of bracket j.
@@ -535,9 +558,11 @@ class _Counts:
         lo, hi = self.shifts[j], self.shifts[j + 1]
         c_lo, c_hi = self.counts[j], self.counts[j + 1]
         mid = 0.5 * (lo + hi)
-        below = self.shifts[np.searchsorted(self.counts, c_lo, side="left")] if c_lo > 0 else -math.inf
-        above = self.shifts[np.searchsorted(self.counts, c_hi, side="right") - 1]
-        return 0.5 * (hi - lo) / min(mid - below, above - mid)
+        below = self.shifts[bisect.bisect_left(self.counts, c_lo)] if c_lo > 0 else -math.inf
+        above = self.shifts[bisect.bisect_right(self.counts, c_hi) - 1]
+        gap = min(mid - below, above - mid)
+        # 0 where the midpoint of two adjacent doubles rounds onto an end
+        return 0.5 * (hi - lo) / gap if gap > 0.0 else math.inf
 
 
 def _bit_midpoint(lo, hi):
@@ -555,8 +580,42 @@ def _bit_midpoint(lo, hi):
     return struct.unpack("<d", struct.pack("<q", k if k >= 0 else _INT64_MIN - k))[0]
 
 
+def _regula_falsi(counts, j, step):
+    """Regula-falsi split of the isolated bracket j, with the Illinois rule.
+
+    f(sigma) = det(A - sigma B) changes sign once in the bracket; the
+    split is where the chord through (lo, f(lo)) and (hi, f(hi)) crosses 0,
+    lo + t (hi - lo) with t = |f(lo)| / (|f(lo)| + |f(hi)|), taken from the
+    log |det| of both ends, so det itself never over- or underflows.
+    ``step`` is the bracket's last split, (shift, kept, halvings) or None:
+    an end kept by two splits in a row has its |f| halved once more
+    (Dowell and Jarratt, BIT 11, 1971), so neither end stays put.  Returns
+    the split and its step record, or (None, None) where the split is not
+    strictly inside the bracket.
+    """
+    lo, hi = counts.shifts[j], counts.shifts[j + 1]
+    log_lo, log_hi = counts.logdets[j], counts.logdets[j + 1]
+    kept, halvings = None, 0
+    if step is not None and step[0] in (lo, hi):
+        kept = hi if step[0] == lo else lo
+        if kept == step[1]:
+            halvings = step[2] + 1
+            if kept == lo:
+                log_lo -= halvings * _LOG2
+            else:
+                log_hi -= halvings * _LOG2
+    # t = 1 / (1 + |f(hi)| / |f(lo)|), with exp taken of -|d| so it cannot overflow
+    d = log_hi - log_lo
+    e = math.exp(-abs(d))
+    t = e / (1.0 + e) if d > 0.0 else 1.0 / (1.0 + e)
+    sigma = lo + t * (hi - lo)
+    if lo < sigma < hi:
+        return sigma, (sigma, kept, halvings)
+    return None, None
+
+
 def _brackets(a, b, count):
-    """Certified brackets of the lowest ``count`` eigenvalues, by bisection.
+    """Certified brackets of the lowest ``count`` eigenvalues, from inertia counts.
 
     One count of 0 A - (-1) B factors B itself (CholeskyError unless every
     pivot is positive).  The first pass counts at -scale and scale, the
@@ -569,38 +628,54 @@ def _brackets(a, b, count):
     (counts, positions): the evaluated shifts and, for each index
     i < count, the position of its bracket.
 
-    Every shift is counted on its own.  A splitting pass counts one shift
-    per open bracket, at its ``_bit_midpoint``; a bracket with no double
-    strictly inside stays as it is.
+    Every shift is counted on its own, and every count also gives
+    log |det(A - sigma B)|.  A splitting pass counts one shift per open
+    bracket.  A bracket that holds one eigenvalue, with ends of one sign
+    within a factor 2 of each other, is split at its regula-falsi point on
+    det (``_regula_falsi``), which converges superlinearly: this is the
+    determinant search of Peters and Wilkinson (Comput. J. 12, 1969) and
+    Bathe and Wilson (1976), with every step still a count, so the bracket
+    stays certified.  Any other bracket, and one whose regula-falsi point
+    is not strictly inside, is split at its ``_bit_midpoint``, which is
+    geometric across binades; a bracket with no double strictly inside
+    stays as it is.  Across binades, as in the walk up from 0, the
+    eigenvalue's size is unknown and det far from linear, so its chord
+    would split such a bracket near one end for many passes.
     """
-    if _narrow_count(np.zeros_like(a), b, -1.0) != 0:
+    if _narrow_count(np.zeros_like(a), b, -1.0)[0] != 0:
         raise CholeskyError("B is not positive definite")
     # B passed its count, so its diagonal is positive
     scale = float(np.max(np.abs(a[0]))) / float(np.max(np.abs(b[0])))
     scale = scale if scale > 0.0 else 1.0
     counts = _Counts()
+    steps = {}  # eigenvalue index -> the last regula-falsi step of its bracket
     new = [-scale, scale]
     for _ in range(_MAX_COUNT_PASSES):
-        counts.add(np.array(new), inertia_counts(a, b, new))
+        counts.add(new, [_narrow_count(a, b, sigma) for sigma in new])
         if counts.counts[0] > 0:
-            new = [_WIDEN * float(counts.shifts[0])]
+            new = [_WIDEN * counts.shifts[0]]
         elif counts.counts[-1] < count:
-            new = [_WIDEN * float(counts.shifts[-1])]
+            new = [_WIDEN * counts.shifts[-1]]
         else:
             new = []
             for j in sorted({counts.bracket(i) for i in range(count)}):
-                lo, hi = float(counts.shifts[j]), float(counts.shifts[j + 1])
+                lo, hi = counts.shifts[j], counts.shifts[j + 1]
                 isolated = counts.counts[j + 1] - counts.counts[j] == 1
                 narrow = hi - lo <= _CLUSTER_RTOL * max(abs(lo), abs(hi))
                 if counts.contraction(j) <= _CONTRACTION and (isolated or narrow):
                     continue
-                mid = _bit_midpoint(lo, hi)
+                mid = None
+                if isolated and (0.0 < lo and hi <= 2.0 * lo or hi < 0.0 and lo >= 2.0 * hi):
+                    i = counts.counts[j]
+                    mid, steps[i] = _regula_falsi(counts, j, steps.get(i))
+                if mid is None:
+                    mid = _bit_midpoint(lo, hi)
                 if lo < mid < hi:
                     new.append(mid)
             if not new:
                 # every bracket is settled or as narrow as doubles allow
                 return counts, [counts.bracket(i) for i in range(count)]
-    raise ConvergenceError(f"bisection did not settle within {_MAX_COUNT_PASSES} count passes")
+    raise ConvergenceError(f"bracket search did not settle within {_MAX_COUNT_PASSES} count passes")
 
 
 def _b_orthogonalize(b, Z, members):
@@ -648,8 +723,8 @@ def solve_pencil(A, B, count, seed=201):
     a, b = pencil_bands(A, B)
     _check_bands(a)
     counts, positions = _brackets(a, b, count)
-    lo = counts.shifts[positions]
-    hi = counts.shifts[np.add(positions, 1)]
+    lo = np.array([counts.shifts[j] for j in positions])
+    hi = np.array([counts.shifts[j + 1] for j in positions])
     shifts = 0.5 * (lo + hi)
     factors = [_narrow_ldl(a, b, sigma) for sigma in shifts.tolist()]
     clusters = [[i for i in range(count) if positions[i] == j] for j in sorted(set(positions))]
@@ -660,7 +735,15 @@ def solve_pencil(A, B, count, seed=201):
     # the bands and Z convert exactly to np.longdouble (a 64-bit
     # significand on x86; plain double where np.longdouble is double)
     a_ext, b_ext = a.astype(np.longdouble), b.astype(np.longdouble)
+    # Each right-hand side is scaled by a power of two, exactly, so that its
+    # largest entry over the smallest pivot stays below 2**1000: a split
+    # within 1e-308 of an eigenvalue of size 1e-300 leaves a subnormal
+    # pivot, and the solve would overflow.  The scale is 1 unless the ratio
+    # would pass that, and the normalized vector keeps its bits either way.
+    pivot_exponents = np.array([np.frexp(min(map(abs, pivots)))[1] for pivots, _ in factors])
     for step in range(_BANDED_PASSES):
+        rhs_exponents = np.frexp(np.max(np.abs(BZ), axis=0))[1]
+        BZ = np.ldexp(BZ, np.minimum(1000 + pivot_exponents - rhs_exponents, 0))
         Z = _ldl_solve(factors, BZ)
         if step == _BANDED_PASSES - 1:
             # The solve leaves rounding noise across the other modes.  On

@@ -192,14 +192,19 @@ def assemble_spectrum(sector_results, count: int | None = None, dim: int | None 
 def _pairs_below(
     domain: CapDomain, l: int, mesh: Mesh, quad_order: int, count: int, shift: float | None
 ) -> list[Eigenpair]:
-    """Sector l's count smallest eigenpairs, or [] if its pencil has none below shift.
+    """Sector l's smallest eigenpairs: count of them, or only those below shift.
 
-    shift None solves the sector unconditionally.  The dense pencil lives
-    only here, so no two sectors' pencils are held at once.
+    shift None solves count pairs unconditionally.  Otherwise an inertia
+    count at shift says how many of the pencil's eigenvalues lie below
+    it, and only min(count, that many) pairs are solved; none gives [].
+    The dense pencil lives only here, so no two sectors' pencils are held
+    at once.
     """
     pencil = assemble_sector_forms(domain, l, mesh, quad_order)
-    if shift is not None and inertia_counts(*pencil_bands(pencil.A, pencil.B), [shift])[0] == 0:
-        return []
+    if shift is not None:
+        count = min(count, int(inertia_counts(*pencil_bands(pencil.A, pencil.B), [shift])[0]))
+        if count == 0:
+            return []
     return _sector_pairs(pencil, mesh, domain, count)
 
 
@@ -242,10 +247,15 @@ def solve_spectrum(domain: CapDomain, m: int = 128, quad_order: int = 6, count: 
       assembled pencil at shift says how many of its eigenvalues lie
       below; none means the sector is skipped.
 
-    Every other sector is solved as ``solve_sector`` solves it, so the
-    head is the one a solve of every sector would give.  Until the head
-    fills, every sector is solved and adds at least one value; after that,
-    the bound, rising like l^2, passes shift, so the walk always ends.
+    Every other sector is solved as ``solve_sector`` solves it, with count
+    pairs until the head fills and after that with only the pairs below
+    shift (at most count), since its higher pairs cannot reach the head
+    either.  So the sector dict holds fewer than count pairs for such
+    sectors, and the head is the one a solve of every sector would give,
+    up to the rounding of the vectors: a solve of fewer pairs takes other
+    inverse-iteration shifts.  Until the head fills, every sector is
+    solved and adds at least one value; after that, the bound, rising like
+    l^2, passes shift, so the walk always ends.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")

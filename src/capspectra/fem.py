@@ -21,6 +21,7 @@ identities in ``prooflab`` integrate the same samples of the ground state.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -190,6 +191,13 @@ def _sample_sector_shapes(domain: CapDomain, l: int, mesh: Mesh, quad_order: int
     kappa = float(make_sector(n, l).angular_eigenvalue)
 
     xi, wref = _reference_rule(quad_order)
+    # The bending terms grow like 1/t**2, most at the first Gauss point
+    # t = h xi_0.  Where t**2 underflows, numpy would divide by zero and
+    # overflow with warnings; raise OverflowError instead, as Python's h**2
+    # does for an element too large to square.
+    t_first = h * float(xi[0])
+    if t_first**2 < sys.float_info.min:
+        raise OverflowError(f"1/t**2 out of range at the first Gauss point t = {t_first!r}")
     B0 = _shape_values(xi, h, 0)
     B1 = _shape_values(xi, h, 1)
     B2 = _shape_values(xi, h, 2)

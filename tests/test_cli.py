@@ -249,6 +249,18 @@ def test_overflowing_aperture_exits_two():
     assert err == "error: arithmetic overflowed double precision (Numerical result out of range)\n"
 
 
+def test_underflowing_aperture_exits_two():
+    # h**2 underflows, so 1/h**2 would overflow in numpy: the same usage
+    # error, with no numpy warning before the one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1e-300",
+                            "--elements", "8")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: arithmetic overflowed double precision (1/t**2 out of range")
+    assert err.count("\n") == 1
+
+
 def test_sweep_point_limit(monkeypatch):
     # the parser stops at the limit, so a huge range costs no more than it
     rc, out, err = _run("sweep", "--geometry", "spherical", "--dim", "2",
@@ -439,28 +451,29 @@ def test_module_entry_points_run_the_cli(module):
 
 #: SHA-256 of the standard output of each run, with its exit code
 #: (CPython 3.11, numpy 2.4.6, x86-64, where np.longdouble has a 64-bit
-#: significand), recorded when the last inverse-iteration solve took two
-#: refinement steps against an extended-precision residual: they moved the
-#: printed values at the rounding floor of the inverse-iteration vectors.  A change that moves
+#: significand), recorded when the bracket search took regula-falsi steps
+#: on det(A - sigma B) and the merged spectrum solved only the pairs below
+#: the head's shift: both moved the inverse-iteration shifts, and with them
+#: the printed values at the rounding floor of the vectors.  A change that moves
 #: any printed digit changes a digest; such a change updates the digest
 #: here on purpose and records the move in CHANGES.md.
 GOLDEN = [
     ("solve --geometry flat --dim 2 --aperture 1.0 --elements 64", 0,
-     "8cfa70fd91d8df3c9332ff97f4e8ad5b80a0aeaddfaf8b64edc36ae5e105084c"),
+     "00f99e7bb1ae415063c70cc3699b6064c62a28c26af808dc53a703ebecb73b28"),
     ("solve --geometry flat --dim 5 --aperture 0.7 --elements 32 --num-eigs 10", 0,
-     "0e70cd8460700d17136acd15bba73c6a0a238aacd7a486d13867db890014ca80"),
+     "1a134a16c9affdb4cf05d31e454ccbb354fedaeb268b89208e9810a8938bfeb9"),
     ("solve --geometry spherical --dim 3 --aperture 2.5 --elements 32 --num-eigs 8", 0,
-     "1c923523ecf06c80d460d56570356ca0a74d752a931ac6afa6f07a8780bb89ed"),
+     "bc2a7ca441939960d1ccf58a83569f79a3b82387938167ad644ac057aff90525"),
     ("solve --geometry spherical --dim 2 --aperture 0.002 --elements 32", 0,
-     "ae9e2385be7d3d614ab3411f3267475399528194a05e398374e8f6c790b7abe8"),
+     "8eec3de78430681dbf899f5b28f6fdbffa14a704e373775293e61278a09ad9ff"),
     ("sweep --geometry spherical --dim 2 --aperture 0.5:3.0:0.5 --elements 32", 0,
-     "ce1024d5967de581196a810286de848583b1e5964774402d40398dac7131fb17"),
+     "58c0287fb6939a37da10976ee3c9ef1ac1cd908fb6b4f04ff9f1a1101e0eebe5"),
     ("sweep --geometry spherical --dim 5 --aperture 0.4:2.8:0.6 --elements 24 --num-eigs 4", 0,
-     "1d0c9d3598e1b59b955af229466977d5fde5e2c5c0dea3443732c69483d415c3"),
+     "4a964e419f64c8b149e2ffc63a255039bf3d0599c3ad98563159ccfec6a732f2"),
     ("identities --geometry spherical --dim 2 --aperture 1.0 --elements 64", 0,
-     "435f77fdd5334c3581093dbf0087650a2ed09a238a11d285d3b9722b45f4c0ed"),
+     "f36e3a861b4658bb669a0b1af02c9f1838d060e5c5f7b6f75039400dcc604469"),
     ("identities --geometry spherical --dim 4 --aperture 2.0 --elements 32", 0,
-     "7f615cac391cff914e47b643ecc4005f95e793508f74749db64b2900460624e3"),
+     "97d7e506ac4983c9e80a04c96f60c83bb0e30cc4a9b0ddb20055b189049d8dc6"),
 ]
 
 

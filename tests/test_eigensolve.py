@@ -1,6 +1,7 @@
 """Eigensolver, Bessel oracle, and spectrum merging."""
 
 import functools
+import math
 import warnings
 from unittest import mock
 
@@ -165,13 +166,15 @@ def test_solve_pencil_repeat_calls_are_bit_identical():
 
 def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
     # a count that falls as the shift rises cannot come from a definite pencil:
-    # reversed, the counts at the first two shifts -scale and scale fall
-    real = _linalg.inertia_counts
+    # negated, the counts 0 at -scale and k > 0 at scale fall (the count of
+    # B alone stays 0)
+    real = _linalg._narrow_count
 
-    def falling(a, b, shifts):
-        return real(a, b, shifts)[::-1]
+    def falling(a, b, sigma):
+        count, logdet = real(a, b, sigma)
+        return -count, logdet
 
-    monkeypatch.setattr(_linalg, "inertia_counts", falling)
+    monkeypatch.setattr(_linalg, "_narrow_count", falling)
     pencil = _sector_pencil("flat", 2, 1.0, 0, 16)
     with pytest.raises(_linalg.ConvergenceError, match="monotone"):
         cs.solve_pencil(pencil.A, pencil.B, count=3)
@@ -224,7 +227,7 @@ def test_each_splitting_pass_counts_one_midpoint_per_open_bracket():
         return real_count(*args)
 
     def add(self, shifts, found):
-        positions = sorted({self.bracket(i) for i in range(6)}) if self.shifts.size else []
+        positions = sorted({self.bracket(i) for i in range(6)}) if self.shifts else []
         opened = [j for j in positions if not _settled(self, j)]
         passes.append((dict(calls), shifts, [(self.shifts[j], self.shifts[j + 1]) for j in opened]))
         calls.update(one_shift=0)
@@ -235,18 +238,31 @@ def test_each_splitting_pass_counts_one_midpoint_per_open_bracket():
         mock.patch.object(_linalg._Counts, "add", add),
     ):
         _linalg._brackets(a, b, 6)
-    assert passes[0][0] == {"one_shift": 3} and passes[0][1].size == 2
+    assert passes[0][0] == {"one_shift": 3} and len(passes[0][1]) == 2
     assert len(passes) > 1
     for used, shifts, opened in passes[1:]:
-        assert used == {"one_shift": shifts.size}
-        assert shifts.size == len(opened)
+        assert used == {"one_shift": len(shifts)}
+        assert len(shifts) == len(opened)
         assert all(lo < sigma < hi for sigma, (lo, hi) in zip(np.sort(shifts), opened))
 
 
-@pytest.mark.parametrize("t", [1e-25, 1e-300])
+def test_contraction_of_a_bracket_of_adjacent_doubles_is_infinite():
+    # the midpoint of 1 and the next double rounds to 1, the lowest shift
+    # counting 1, so the distance to the eigenvalue below is 0: the bound
+    # is inf (a poor shift), without a division by zero or its warning
+    counts = _linalg._Counts()
+    counts.add([0.5, 1.0, np.nextafter(1.0, 2.0)], [(0, 0.0), (1, 0.0), (2, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert counts.contraction(1) == math.inf
+
+
+@pytest.mark.parametrize("t", [1e-25, 1e-300, 1e-308])
 def test_solve_pencil_separates_eigenvalues_far_below_the_diagonal_scale(t):
     # bisection in the ordering of doubles splits the bracket [0, 12] by
-    # binades, so t and 2 t are bracketed apart long before the pass limit
+    # binades, so t and 2 t are bracketed apart long before the pass limit;
+    # at 1e-300 and below the midpoint shift can sit a subnormal distance
+    # from t, and the solve's right-hand sides are scaled so it stays finite
     A = np.diag([t, 2.0 * t, *range(3, 13)])
     values, _ = cs.solve_pencil(A, np.eye(12), count=2)
     assert np.allclose(values, [t, 2.0 * t], rtol=1e-12, atol=0.0)
@@ -343,9 +359,7 @@ def test_returned_values_lie_inside_their_count_brackets():
 def _midpoint_shifts(a, b, count):
     """The shifts solve_pencil factors at: its bracket midpoints."""
     counts, positions = _linalg._brackets(a, b, count)
-    lo = counts.shifts[positions]
-    hi = counts.shifts[np.add(positions, 1)]
-    return 0.5 * (lo + hi)
+    return [0.5 * (counts.shifts[j] + counts.shifts[j + 1]) for j in positions]
 
 
 def _assert_solves(M, p, Y, X):
@@ -400,7 +414,7 @@ def test_narrow_lu_solve_is_backward_stable(geometry, dim, aperture, l, m, lanes
 
 def _kernel_count(a, b, sigma):
     try:
-        return _linalg._narrow_count(a, b, sigma)
+        return _linalg._narrow_count(a, b, sigma)[0]
     except _linalg.ConvergenceError as exc:
         return str(exc)
 
@@ -599,13 +613,15 @@ def test_merged_cap_spectrum_matches_oracle(dim, aperture):
 @example(geometry="spherical", dim=5, aperture=2.9, m=16, count=7)
 @example(geometry="spherical", dim=2, aperture=2.1, m=16, count=8)
 def test_solve_spectrum_skip_is_exact(geometry, dim, aperture, m, count):
-    # the walk against a solve of every sector up to its cut: the same head,
-    # bit for bit, and the cut's tail bound above the shift
+    # the walk against a solve of every sector up to its cut, each solved
+    # sector with the number of pairs the walk kept and each skipped one
+    # with count: the same head, bit for bit, and the cut's tail bound
+    # above the shift
     domain = cs.make_cap(geometry, dim, aperture)
     spectrum, sectors = cs.solve_spectrum(domain, m=m, count=count)
     cut = max(sectors)
     assert sorted(sectors) == list(range(cut + 1))
-    every = {l: cs.solve_sector(domain, l, m=m, count=count) for l in range(cut + 1)}
+    every = {l: cs.solve_sector(domain, l, m=m, count=len(sectors[l]) or count) for l in range(cut + 1)}
     assert spectrum.entries == cs.assemble_spectrum(every, count=count).entries
     tau = spectrum.entries[-1].value
     assert eigensolve._sector_lower_bound(domain, cut) > tau + _linalg._BRACKET_SLACK * tau
@@ -618,6 +634,55 @@ def test_solve_spectrum_skip_is_exact(geometry, dim, aperture, m, count):
         pencil = cs.assemble_sector_forms(domain, l, mesh)
         lowest = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert lowest >= tau
+
+
+@pytest.mark.parametrize(
+    "geometry,dim,aperture,m,count",
+    [("spherical", 3, 1.0, 48, 4), ("flat", 2, 1.0, 32, 10), ("spherical", 5, 2.5, 24, 8),
+     ("flat", 4, 0.7, 16, 12)],
+)
+def test_pairs_below_drops_only_pairs_at_or_above_the_shift(monkeypatch, geometry, dim, aperture, m, count):
+    # once the head is full a sector keeps only its pairs below the shift;
+    # the dense eigenvalues it leaves out of its first count all lie at or
+    # above that shift, and the ones it keeps below
+    calls = []
+    real = eigensolve._pairs_below
+
+    def spy(domain, l, mesh, quad_order, count, shift):
+        pairs = real(domain, l, mesh, quad_order, count, shift)
+        calls.append((l, mesh, count, shift, len(pairs)))
+        return pairs
+
+    monkeypatch.setattr(eigensolve, "_pairs_below", spy)
+    domain = cs.make_cap(geometry, dim, aperture)
+    cs.solve_spectrum(domain, m=m, count=count)
+    dropped = 0
+    for l, mesh, wanted, shift, kept in calls:
+        if shift is None:
+            assert kept == wanted
+            continue
+        pencil = cs.assemble_sector_forms(domain, l, mesh)
+        ref = sla.eigh(pencil.A, pencil.B, eigvals_only=True, subset_by_index=[0, wanted - 1])
+        assert np.all(ref[:kept] < shift) and np.all(ref[kept:] >= shift)
+        dropped += wanted - kept
+    assert dropped > 0
+
+
+def test_count_budget_of_a_sector_solve():
+    # the cap_sweep pencil (N = 127) with count = 6: 77 one-shift counts
+    # when isolated brackets were bisected, 56 with regula-falsi steps on
+    # the determinant
+    pencil = _sector_pencil("spherical", 3, 1.5, 1, 64)
+    calls = []
+    real = _linalg._narrow_count
+
+    def counting(a, b, sigma):
+        calls.append(sigma)
+        return real(a, b, sigma)
+
+    with mock.patch.object(_linalg, "_narrow_count", counting):
+        cs.solve_pencil(pencil.A, pencil.B, count=6)
+    assert len(calls) <= 60
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -787,8 +852,10 @@ def test_spectrum_merge_validation():
 def test_solve_spectrum_degeneracy_on_two_sphere():
     cap = cs.make_cap("spherical", 3, 1.0)
     spectrum, sectors = cs.solve_spectrum(cap, m=48, count=4)
-    # sectors 0 and 1 hold the head; the counts skip 2..4 and the tail bound cuts 5
-    assert {l: len(pairs) for l, pairs in sectors.items()} == {0: 4, 1: 4, 2: 0, 3: 0, 4: 0, 5: 0}
+    # sectors 0 and 1 hold the head; sector 1 keeps the 3 of its values
+    # below the fourth of sector 0, the counts skip 2..4 and the tail bound
+    # cuts 5
+    assert {l: len(pairs) for l, pairs in sectors.items()} == {0: 4, 1: 3, 2: 0, 3: 0, 4: 0, 5: 0}
     values = spectrum.values()
     assert len(values) == 4
     assert list(values) == sorted(values)
