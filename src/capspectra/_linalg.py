@@ -1,13 +1,12 @@
 """Symmetric-definite pencil eigensolvers built from first principles.
 
-Solves the generalized problem A x = lam B x with A symmetric and B
-symmetric positive definite.  Everything here is deliberately
-self-contained (no LAPACK wrappers) so the numerical path is fully
-inspectable.
+Solves the generalized problem A x = lam B x with A and B symmetric
+positive definite.  Everything here is deliberately self-contained (no
+LAPACK wrappers) so the numerical path is fully inspectable.
 
-``solve_pencil`` works on the bands of a pencil of half-bandwidth p <= 3
-and size n >= 4, as every Hermite-cubic sector pencil is (p = 3), and
-never forms a dense factor:
+``solve_pencil`` works on the bands of a pencil of half-bandwidth 3 and
+size n >= 4, as every Hermite-cubic sector pencil is, held in LAPACK's
+upper band storage (``pencil_bands``), and never forms a dense factor:
 
     LDL^T of A - sigma B, one shift at a time -> inertia counts
     (Sylvester's law) and log |det(A - sigma B)| -> brackets of the lowest
@@ -85,12 +84,10 @@ _MAX_COUNT_PASSES = 60
 _BANDED_PASSES = 4
 #: iterative-refinement steps of the last inverse-iteration solve
 _REFINEMENTS = 2
-#: factor by which each widening pass moves the outer count shift outward
+#: factor by which each widening pass moves the upper count shift up
 _WIDEN = 16.0
 #: log 2, the Illinois rule's halving of |det| on the log scale
 _LOG2 = math.log(2.0)
-#: the int64 with only the sign bit set
-_INT64_MIN = -(1 << 63)
 
 
 class CholeskyError(Exception):
@@ -309,65 +306,58 @@ def tridiagonal_eigenvector(d, e, lam, rng, orthogonal_to=()):
 
 
 def pencil_bands(A, B):
-    """Upper bands of the symmetric pencil (A, B), zero-padded.
+    """Bands of the symmetric pencil (A, B) in LAPACK upper band storage.
 
-    Returns (a, b), each of shape (p + 1, n): row k holds the k-th
-    superdiagonal in its first n - k entries.  The half-bandwidth p is the
-    largest j - i over the nonzero entries (i, j) of A and B, both
-    symmetric; Hermite-cubic sector pencils have p = 3, and a full matrix
-    has p = n - 1.
+    Returns (a, b), each of shape (4, n), with a[3 - k, j] = A[j - k, j]:
+    column j holds A[j - 3 .. j, j], the diagonal is row 3 and row 3 - k
+    holds the k-th superdiagonal from column k on, zeros before it
+    (Anderson et al., LAPACK Users' Guide, 5.3.3; the form
+    ``scipy.linalg.eigvals_banded`` reads).  Every Hermite-cubic sector
+    pencil has half-bandwidth 3 and n >= 4; a nonzero of A or B past the
+    third off-diagonal, or n < 4, raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
+    if n < 4:
+        raise ValueError(f"pencil needs size >= 4 (got {n})")
     nonzero = (A != 0.0) | (B != 0.0)
-    # column of the last nonzero in each row (n - 1 for an all-zero row,
-    # which only overstates p)
-    last = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    p = max(int(np.max(last - np.arange(n))), 0)
-    a = np.zeros((p + 1, n))
-    b = np.zeros((p + 1, n))
-    for k in range(p + 1):
-        a[k, : n - k] = np.diagonal(A, k)
-        b[k, : n - k] = np.diagonal(B, k)
+    if np.count_nonzero(nonzero) != sum(np.count_nonzero(np.diagonal(nonzero, k)) for k in range(-3, 4)):
+        raise ValueError("pencil needs half-bandwidth <= 3 (a nonzero lies past the third off-diagonal)")
+    a = np.zeros((4, n))
+    b = np.zeros((4, n))
+    for k in range(4):
+        a[3 - k, k:] = np.diagonal(A, k)
+        b[3 - k, k:] = np.diagonal(B, k)
     return a, b
 
 
 def _band_matvec(bands, X):
     """Product of the symmetric band matrix with the columns of X (n x s)."""
-    Y = bands[0][:, None] * X
-    for k in range(1, bands.shape[0]):
+    Y = bands[3][:, None] * X
+    for k in range(1, 4):
         n_k = X.shape[0] - k
-        Y[:n_k] += bands[k, :n_k, None] * X[k:]
-        Y[k:] += bands[k, :n_k, None] * X[:n_k]
+        Y[:n_k] += bands[3 - k, k:, None] * X[k:]
+        Y[k:] += bands[3 - k, k:, None] * X[:n_k]
     return Y
-
-
-def _check_bands(a):
-    """ValueError unless bands ``a`` have p <= 3 and n >= 4, as the kernels need."""
-    p, n = a.shape[0] - 1, a.shape[1]
-    if p > 3 or n < 4:
-        raise ValueError(f"pencil needs half-bandwidth <= 3 and size >= 4 (got {p} and {n})")
 
 
 def inertia_counts(a, b, shifts):
     """Number of pencil eigenvalues below each shift (Sylvester's law).
 
-    ``a`` and ``b`` are the bands from ``pencil_bands``, of half-bandwidth
-    p <= 3 and size n >= 4 (ValueError otherwise).  The count at sigma is
-    the number of negative pivots in the LDL^T factorization of
-    A - sigma B, made one shift at a time by ``_narrow_count``.  An exactly
-    zero pivot counts as negative, so an eigenvalue equal to sigma counts
-    as below it.  A non-finite pivot (the factorization overflowed)
+    ``a`` and ``b`` are the (4, n) bands from ``pencil_bands``.  The count
+    at sigma is the number of negative pivots in the LDL^T factorization
+    of A - sigma B, made one shift at a time by ``_narrow_count``.  An
+    exactly zero pivot counts as negative, so an eigenvalue equal to sigma
+    counts as below it.  A non-finite pivot (the factorization overflowed)
     raises ConvergenceError.
     """
-    _check_bands(a)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     return np.array([_narrow_count(a, b, sigma)[0] for sigma in shifts.tolist()], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
-# One-shift kernels for half-bandwidth <= 3
+# One-shift kernels on the bands of ``pencil_bands``
 #
 # A numpy row step costs about the same for one shift as for a hundred, so
 # every factorization runs one shift at a time on Python floats, with the
@@ -380,31 +370,18 @@ def inertia_counts(a, b, shifts):
 # ---------------------------------------------------------------------------
 
 
-def _diagonals(a, b, sigma):
-    """Lists e[k] of the k-th superdiagonal of A - sigma B, k = 0..3.
-
-    e[k][j] is element (j, j + k), zero past the matrix and for k > p.
-    """
-    n, p = a.shape[1], a.shape[0] - 1
-    return [
-        (a[k, : n - k] - b[k, : n - k] * sigma).tolist() + [0.0] * k if k <= p else [0.0] * n
-        for k in range(4)
-    ]
-
-
 def _narrow_count(a, b, sigma):
-    """``inertia_counts`` at one shift, for p <= 3, on Python floats.
+    """``inertia_counts`` at one shift, on Python floats.
 
     Returns (count, logdet): the number of negative pivots and
     log |det(A - sigma B)|, the sum of log |d_i| over the pivots, whose
     sign is (-1)**count.
 
-    One pass of LDL^T over the rows, with the bands zero-padded to p = 3.
-    The window w holds the trailing 4 x 4 Schur complement; each step takes
-    its leading pivot, updates the rest and shifts in the next column.
-    Only row 0 of the window is read as a pivot row, so only the upper
-    triangle w_rc (r <= c) is kept; padding adds exact zeros, so the
-    pivots are those of the unpadded pass.
+    One pass of LDL^T over the rows.  The window w holds the trailing 4 x 4
+    Schur complement; each step takes its leading pivot, updates the rest
+    and shifts in the next column of the band storage, which is the new
+    column of the window.  Only row 0 of the window is read as a pivot
+    row, so only the upper triangle w_rc (r <= c) is kept.
 
     An exactly zero pivot counts as negative and the pass goes on with
     -pivmin in its place, pivmin = eps (max |a| + |sigma| max |b|), the
@@ -415,20 +392,16 @@ def _narrow_count(a, b, sigma):
     pencil A - sigma B - pivmin e_i e_i^T, so the count is that of a
     perturbation of size pivmin, the backward-stable count of a nearby
     pencil; Demmel, Dhillon and Ren (ETNA 3, 1995) prove the tridiagonal
-    case, not these p = 3 bands.
+    case, not these half-bandwidth 3 bands.
     """
-    e0, e1, e2, e3 = _diagonals(a, b, sigma)
-    # step i shifts in column i + 4, elements (i + 1 .. i + 4, i + 4);
-    # past n that column is the identity padding
-    incoming = zip(e3[1:] + [0.0], e2[2:] + [0.0] * 2, e1[3:] + [0.0] * 3, e0[4:] + [1.0] * 4)
-    w00, w01, w02, w03 = e0[0], e1[0], e2[0], e3[0]
-    w11, w12, w13 = e0[1], e1[1], e2[1]
-    w22, w23 = e0[2], e1[2]
-    w33 = e0[3]
+    # column j is [A_{j-3,j}, .., A_{j,j}] of A - sigma B; step i shifts in
+    # column i + 4, and past n that column is the identity padding
+    columns = (a - sigma * b).T.tolist() + [[0.0, 0.0, 0.0, 1.0]] * 4
+    (_, _, _, w00), (_, _, w01, w11), (_, w02, w12, w22), (w03, w13, w23, w33) = columns[:4]
     negative = 0
     pivots = []
     keep = pivots.append
-    for c0, c1, c2, c3 in incoming:
+    for c0, c1, c2, c3 in columns[4:]:
         if w00 <= 0.0:
             negative += 1
             if w00 == 0.0:
@@ -455,7 +428,7 @@ def _narrow_count(a, b, sigma):
 
 
 def _narrow_ldl(a, b, sigma):
-    """LDL^T of A - sigma B at one shift, for p <= 3, on Python floats.
+    """LDL^T of A - sigma B at one shift, on Python floats.
 
     The recurrence of ``_narrow_count``, without pivoting, keeping per row i
     the pivot d_i and the multipliers l_{i+1,i}, l_{i+2,i}, l_{i+3,i}.
@@ -466,16 +439,12 @@ def _narrow_ldl(a, b, sigma):
     reaches a later pivot, so the sum of the pivots tells (a finite sum that
     overflowed lands there too).
     """
-    e0, e1, e2, e3 = _diagonals(a, b, sigma)
-    incoming = zip(e3[1:] + [0.0], e2[2:] + [0.0] * 2, e1[3:] + [0.0] * 3, e0[4:] + [1.0] * 4)
-    w00, w01, w02, w03 = e0[0], e1[0], e2[0], e3[0]
-    w11, w12, w13 = e0[1], e1[1], e2[1]
-    w22, w23 = e0[2], e1[2]
-    w33 = e0[3]
+    columns = (a - sigma * b).T.tolist() + [[0.0, 0.0, 0.0, 1.0]] * 4
+    (_, _, _, w00), (_, _, w01, w11), (_, w02, w12, w22), (w03, w13, w23, w33) = columns[:4]
     rows = []
     keep = rows.append
     try:
-        for c0, c1, c2, c3 in incoming:
+        for c0, c1, c2, c3 in columns[4:]:
             r1 = w01 / w00
             r2 = w02 / w00
             r3 = w03 / w00
@@ -566,18 +535,15 @@ class _Counts:
 
 
 def _bit_midpoint(lo, hi):
-    """The double halfway from lo to hi in the ordering of doubles.
+    """The double halfway from lo to hi in the ordering of doubles, 0 <= lo <= hi.
 
-    A double's sign-magnitude bit pattern, read as an integer and negated
-    for a negative double, is its position in that ordering (both zeros
-    sit at 0).  The mean of two positions is near the geometric mean of two
-    doubles of one sign many binades apart, it passes through 0, and
-    splitting at it exhausts any bracket within 64 splits.
+    A nonnegative double's bit pattern, read as an integer, is its position
+    in that ordering.  The mean of two positions is near the geometric mean
+    of two doubles many binades apart, and splitting at it exhausts any
+    bracket within 64 splits.
     """
-    # k <-> INT64_MIN - k for k < 0 maps int64 bits to positions and back
-    k_lo, k_hi = (k if k >= 0 else _INT64_MIN - k for k in struct.unpack("<2q", struct.pack("<2d", lo, hi)))
-    k = (k_lo + k_hi) // 2
-    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else _INT64_MIN - k))[0]
+    k_lo, k_hi = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    return struct.unpack("<d", struct.pack("<q", (k_lo + k_hi) // 2))[0]
 
 
 def _regula_falsi(counts, j, step):
@@ -617,10 +583,13 @@ def _regula_falsi(counts, j, step):
 def _brackets(a, b, count):
     """Certified brackets of the lowest ``count`` eigenvalues, from inertia counts.
 
-    One count of 0 A - (-1) B factors B itself (CholeskyError unless every
-    pivot is positive).  The first pass counts at -scale and scale, the
-    diagonal scale of A over B; each widening pass moves the outer shift
-    outward by the factor ``_WIDEN``, until the shifts hold the lowest
+    A and B must be positive definite, as every sector pencil is (A is a
+    Gram matrix), so every eigenvalue is positive and every count is made
+    at a shift sigma >= 0.  The count of B itself, at sigma = 0 with B in
+    place of A, checks B; the count at 0 checks A (CholeskyError unless
+    every pivot is positive).  The first pass counts at 0 and scale, the
+    diagonal scale of A over B; each widening pass moves the upper shift
+    up by the factor ``_WIDEN``, until the shifts hold the lowest
     ``count`` eigenvalues.  Splitting passes then split every bracket whose
     midpoint would make a poor inverse-iteration shift: until it holds one
     eigenvalue and its contraction bound is below ``_CONTRACTION``, or, for
@@ -630,7 +599,7 @@ def _brackets(a, b, count):
 
     Every shift is counted on its own, and every count also gives
     log |det(A - sigma B)|.  A splitting pass counts one shift per open
-    bracket.  A bracket that holds one eigenvalue, with ends of one sign
+    bracket.  A bracket that holds one eigenvalue, with positive ends
     within a factor 2 of each other, is split at its regula-falsi point on
     det (``_regula_falsi``), which converges superlinearly: this is the
     determinant search of Peters and Wilkinson (Comput. J. 12, 1969) and
@@ -642,30 +611,30 @@ def _brackets(a, b, count):
     eigenvalue's size is unknown and det far from linear, so its chord
     would split such a bracket near one end for many passes.
     """
-    if _narrow_count(np.zeros_like(a), b, -1.0)[0] != 0:
+    if _narrow_count(b, np.zeros_like(b), 0.0)[0] != 0:
         raise CholeskyError("B is not positive definite")
     # B passed its count, so its diagonal is positive
-    scale = float(np.max(np.abs(a[0]))) / float(np.max(np.abs(b[0])))
-    scale = scale if scale > 0.0 else 1.0
+    scale = float(np.max(np.abs(a[3]))) / float(np.max(np.abs(b[3])))
     counts = _Counts()
     steps = {}  # eigenvalue index -> the last regula-falsi step of its bracket
-    new = [-scale, scale]
+    new = [0.0, scale]
     for _ in range(_MAX_COUNT_PASSES):
         counts.add(new, [_narrow_count(a, b, sigma) for sigma in new])
+        # shifts[0] is 0, so a count there means an eigenvalue at or below 0
         if counts.counts[0] > 0:
-            new = [_WIDEN * counts.shifts[0]]
-        elif counts.counts[-1] < count:
+            raise CholeskyError("A is not positive definite")
+        if counts.counts[-1] < count:
             new = [_WIDEN * counts.shifts[-1]]
         else:
             new = []
             for j in sorted({counts.bracket(i) for i in range(count)}):
                 lo, hi = counts.shifts[j], counts.shifts[j + 1]
                 isolated = counts.counts[j + 1] - counts.counts[j] == 1
-                narrow = hi - lo <= _CLUSTER_RTOL * max(abs(lo), abs(hi))
+                narrow = hi - lo <= _CLUSTER_RTOL * hi
                 if counts.contraction(j) <= _CONTRACTION and (isolated or narrow):
                     continue
                 mid = None
-                if isolated and (0.0 < lo and hi <= 2.0 * lo or hi < 0.0 and lo >= 2.0 * hi):
+                if isolated and 0.0 < lo and hi <= 2.0 * lo:
                     i = counts.counts[j]
                     mid, steps[i] = _regula_falsi(counts, j, steps.get(i))
                 if mid is None:
@@ -697,9 +666,8 @@ def solve_pencil(A, B, count, seed=201):
     LDL^T of A - sigma B at each bracket midpoint gives the vectors,
     B-orthogonalised within any bracket that holds more than one eigenvalue;
     the last solve is refined twice against a residual summed in extended
-    precision.  The
-    pencil must have half-bandwidth p <= 3 and size n >= 4, as every
-    Hermite-cubic sector pencil does (p = 3); another raises ValueError
+    precision.  The pencil must have half-bandwidth <= 3 and size n >= 4,
+    as every Hermite-cubic sector pencil does; another raises ValueError
     before any factorization.
 
     Each value is the Rayleigh quotient of its vector, summed in extended
@@ -708,8 +676,8 @@ def solve_pencil(A, B, count, seed=201):
     test ||A x - lam B x|| <= tol ||A x||, where tol is ``_RESIDUAL_TOL``
     widened, if necessary, to the rounding floor of the residual
     evaluation itself, eps * || (|A| + lam |B|) |x| || / ||A x||.  A failed
-    test raises ConvergenceError; a B that is not positive definite raises
-    CholeskyError.
+    test raises ConvergenceError.  A and B must both be positive definite,
+    as every sector pencil is; either one that is not raises CholeskyError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -721,7 +689,6 @@ def solve_pencil(A, B, count, seed=201):
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("A and B must be finite")
     a, b = pencil_bands(A, B)
-    _check_bands(a)
     counts, positions = _brackets(a, b, count)
     lo = np.array([counts.shifts[j] for j in positions])
     hi = np.array([counts.shifts[j + 1] for j in positions])

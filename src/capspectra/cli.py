@@ -10,7 +10,8 @@ the lower bound on the first eigenvalue, or an identity check does not
 pass), 2 on configuration or usage errors (an output file that cannot be
 written, a ``--quad-order`` above 64, an ``--elements`` above 4096 (the
 dense sector pencil grows as its square), and an aperture or mesh whose
-arithmetic overflows double precision included), 3 when the solver fails
+arithmetic overflows double precision, or whose radial weight underflows
+to 0, included), 3 when the solver fails
 (a pencil that is not definite, or an iteration that does not converge).
 An ``--output`` file is opened only after the run succeeds, so a failing
 run leaves an existing file as it was.

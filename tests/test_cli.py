@@ -261,6 +261,20 @@ def test_underflowing_aperture_exits_two():
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("elements", ["8", "64"])
+def test_underflowing_weight_exits_two(elements):
+    # the quadrature weight t**4 h w underflows to 0, so A and B would be
+    # all zero: the same usage error as an underflowing t**2, with no numpy
+    # warning before the one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run("solve", "--geometry", "flat", "--dim", "5", "--aperture", "1e-70",
+                            "--elements", elements)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: arithmetic overflowed double precision (radial weight underflows")
+    assert err.count("\n") == 1
+
+
 def test_sweep_point_limit(monkeypatch):
     # the parser stops at the limit, so a huge range costs no more than it
     rc, out, err = _run("sweep", "--geometry", "spherical", "--dim", "2",

@@ -16,14 +16,21 @@ import capspectra as cs
 from capspectra import _linalg, eigensolve
 
 
-def _band_pencil(seed, n, p):
-    """A random SPD pencil of half-bandwidth p, with its bands."""
+def _band_matrices(seed, n, p):
+    """A random SPD pencil (A, B) of half-bandwidth p."""
     rng = np.random.default_rng(seed)
     mask = np.triu(np.tril(np.ones((n, n)), 0), -p)
     factors = [rng.standard_normal((n, n)) * mask + 2.0 * np.eye(n) for _ in range(2)]
-    A, B = (f @ f.T for f in factors)
+    return tuple(f @ f.T for f in factors)
+
+
+def _band_pencil(seed, n, p):
+    """A random SPD pencil of half-bandwidth p <= 3 and size n >= 4, with its bands."""
+    A, B = _band_matrices(seed, n, p)
     a, b = _linalg.pencil_bands(A, B)
-    assert a.shape[0] == p + 1
+    # LAPACK upper storage: row 3 - k holds the k-th superdiagonal, so
+    # rows 0 .. 2 - p are zero
+    assert a.shape == (4, n) and not np.any(a[: 3 - p]) and np.all(a[3 - p, p:])
     return A, B, a, b
 
 
@@ -67,16 +74,41 @@ def test_solve_pencil_rejects_pencils_the_kernels_cannot_take(monkeypatch):
         raise AssertionError("factored a pencil it should have rejected")
 
     monkeypatch.setattr(_linalg, "_narrow_count", no_factorization)
-    A, B, a, b = _band_pencil(4, 9, 4)
+    A, B = _band_matrices(4, 9, 4)
     with pytest.raises(ValueError, match="half-bandwidth"):
         cs.solve_pencil(A, B, count=2)
     with pytest.raises(ValueError, match="half-bandwidth"):
-        _linalg.inertia_counts(a, b, [1.0])
-    A, B, a, b = _band_pencil(3, 3, 1)
+        _linalg.pencil_bands(A, B)
+    A, B = _band_matrices(3, 3, 1)
     with pytest.raises(ValueError, match="size"):
         cs.solve_pencil(A, B, count=1)
     with pytest.raises(ValueError, match="size"):
-        _linalg.inertia_counts(a, b, [1.0, 2.0])
+        _linalg.pencil_bands(A, B)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_pencil_bands_are_lapack_upper_band_storage(p):
+    # scipy reads the bands of A and of B as LAPACK's upper band storage;
+    # both eigensolvers are backward stable, so they agree to eps ||M||
+    for seed, n in [(p, 4), (10 + p, 9), (20 + p, 31)]:
+        A, B, a, b = _band_pencil(seed, n, p)
+        for M, bands in ((A, a), (B, b)):
+            ref = np.linalg.eigvalsh(M)
+            assert np.allclose(sla.eigvals_banded(bands), ref, rtol=0.0, atol=1e-13 * ref[-1])
+
+
+def test_pencil_bands_reject_one_nonzero_past_the_third_superdiagonal():
+    for which in (0, 1):
+        pencil = [4.0 * np.eye(8), np.eye(8)]
+        pencil[which][2, 6] = pencil[which][6, 2] = 1e-300
+        with pytest.raises(ValueError, match="half-bandwidth"):
+            _linalg.pencil_bands(*pencil)
+
+
+def test_pencil_bands_of_the_zero_pencil_are_zero():
+    # an all-zero row has no nonzero past the band, so it passes the check
+    a, b = _linalg.pencil_bands(np.zeros((15, 15)), np.zeros((15, 15)))
+    assert a.shape == b.shape == (4, 15) and not np.any(a) and not np.any(b)
 
 
 def test_solve_pencil_handles_clustered_eigenvalues():
@@ -91,7 +123,7 @@ def test_solve_pencil_handles_clustered_eigenvalues():
     A = q @ np.diag(diag) @ q.T
     A = 0.5 * (A + A.T)
     B = np.eye(10)
-    assert _linalg.pencil_bands(A, B)[0].shape[0] == 4
+    assert np.any(_linalg.pencil_bands(A, B)[0][0])
     values, vectors = cs.solve_pencil(A, B, count=5)
     assert np.allclose(values[:5], [1.0, 2.0, 2.0, 2.0, 3.0], atol=1e-9)
     assert np.allclose(values, sla.eigh(A, B, eigvals_only=True)[:5], atol=1e-9)
@@ -105,6 +137,23 @@ def test_solve_pencil_rejects_non_spd_b():
         sla.eigh(A, B)
     with pytest.raises(_linalg.CholeskyError):
         cs.solve_pencil(A, B, count=1)
+
+
+def test_solve_pencil_rejects_a_that_is_not_positive_definite(monkeypatch):
+    # the count at 0 checks A as the count of B checks B: an indefinite A,
+    # or a singular positive semidefinite one (the path graph's Laplacian,
+    # whose last pivot is exactly 0), raises before inverse iteration
+    # factors a shift
+    def no_factorization(*args):
+        raise AssertionError("factored a pencil it should have rejected")
+
+    monkeypatch.setattr(_linalg, "_narrow_ldl", no_factorization)
+    laplacian = 2.0 * np.eye(8) - np.eye(8, k=1) - np.eye(8, k=-1)
+    laplacian[0, 0] = laplacian[-1, -1] = 1.0
+    assert np.linalg.matrix_rank(laplacian) == 7
+    for A in (np.diag([-1.0, *range(1, 8)]), laplacian):
+        with pytest.raises(_linalg.CholeskyError, match="A is not positive definite"):
+            cs.solve_pencil(A, np.eye(8), count=2)
 
 
 def _sector_pencil(geometry, dim, aperture, l, m):
@@ -164,10 +213,45 @@ def test_solve_pencil_repeat_calls_are_bit_identical():
     assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
 
 
+def _sector_matrices(geometry, dim, aperture, l, m):
+    pencil = _sector_pencil(geometry, dim, aperture, l, m)
+    return pencil.A, pencil.B
+
+
+@pytest.mark.parametrize(
+    "make,count",
+    [
+        (lambda: _sector_matrices("flat", 2, 1.0, 0, 16), 3),
+        (lambda: _sector_matrices("spherical", 5, 2.5, 3, 64), 6),
+        # the first pass holds too few eigenvalues and widens
+        (lambda: _band_matrices(77, 12, 2), 12),
+        # the brackets walk up from 0 by binades
+        (lambda: (np.diag([1e-300, 2e-300, *range(3, 13)]), np.eye(12)), 2),
+    ],
+    ids=["disk", "cap", "full_set", "tiny_eigenvalues"],
+)
+def test_every_count_is_made_at_a_nonnegative_shift(make, count):
+    A, B = make()
+    a, b = _linalg.pencil_bands(A, B)
+    calls = []
+    real = _linalg._narrow_count
+
+    def recording(bands_a, bands_b, sigma):
+        calls.append((bands_a, sigma))
+        return real(bands_a, bands_b, sigma)
+
+    with mock.patch.object(_linalg, "_narrow_count", recording):
+        cs.solve_pencil(A, B, count=count)
+    # the first count is that of B itself, at 0; every other is of A - sigma B
+    assert np.array_equal(calls[0][0], b) and calls[0][1] == 0.0
+    assert all(np.array_equal(bands, a) for bands, _ in calls[1:])
+    assert min(sigma for _, sigma in calls) >= 0.0
+
+
 def test_solve_pencil_rejects_non_monotone_counts(monkeypatch):
     # a count that falls as the shift rises cannot come from a definite pencil:
-    # negated, the counts 0 at -scale and k > 0 at scale fall (the count of
-    # B alone stays 0)
+    # negated, the counts 0 at 0 and k > 0 at scale fall (the count of B
+    # alone stays 0)
     real = _linalg._narrow_count
 
     def falling(a, b, sigma):
@@ -184,7 +268,7 @@ def _settled(counts, j):
     """Whether bracket j meets the stopping rule of _brackets' splitting passes."""
     lo, hi = counts.shifts[j], counts.shifts[j + 1]
     isolated = counts.counts[j + 1] - counts.counts[j] == 1
-    narrow = hi - lo <= _linalg._CLUSTER_RTOL * max(abs(lo), abs(hi))
+    narrow = hi - lo <= _linalg._CLUSTER_RTOL * hi
     resolved = counts.contraction(j) <= _linalg._CONTRACTION and (isolated or narrow)
     return bool(resolved or np.nextafter(lo, hi) == hi)
 
@@ -214,7 +298,7 @@ def test_bracket_counts_are_factored_and_every_bracket_is_settled(geometry, dim,
 
 def test_each_splitting_pass_counts_one_midpoint_per_open_bracket():
     # the cap_sweep pencil: after the count of B and the first pass at
-    # -scale and scale, a pass factors one shift strictly inside each open
+    # 0 and scale, a pass factors one shift strictly inside each open
     # bracket
     pencil = _sector_pencil("spherical", 3, 1.5, 1, 64)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
@@ -301,22 +385,23 @@ def test_solve_pencil_does_not_depend_on_the_slope_scale(geometry, dim, aperture
 
 
 def test_inertia_count_goes_on_past_an_exactly_zero_pivot():
-    # at sigma = max|a0| / max|b0|, where _brackets starts, the first pivot
-    # of this sector pencil is exactly zero; the count takes it as negative,
-    # goes on with -pivmin, and gives the dense count
+    # at sigma = max|A_ii| / max|B_ii| (row 3 of the bands), where
+    # _brackets' first pass counts above 0, the first pivot of this sector
+    # pencil is exactly zero; the count takes it as negative, goes on with
+    # -pivmin, and gives the dense count
     pencil = _sector_pencil("spherical", 2, 2.9, 4, 16)
     a, b = _linalg.pencil_bands(pencil.A, pencil.B)
-    sigma = float(np.max(np.abs(a[0])) / np.max(np.abs(b[0])))
-    assert a[0, 0] - sigma * b[0, 0] == 0.0
+    sigma = float(np.max(np.abs(a[3])) / np.max(np.abs(b[3])))
+    assert a[3, 0] - sigma * b[3, 0] == 0.0
     ref = sla.eigh(pencil.A, pencil.B, eigvals_only=True)
     assert ref.size == 30 and np.searchsorted(ref, sigma, side="right") == 21
     assert _linalg.inertia_counts(a, b, [sigma])[0] == 21
 
 
-def _diagonal_bands(n, p):
-    """Bands of half-bandwidth p of the pencil A = 4 I, B = I."""
-    a, b = np.zeros((p + 1, n)), np.zeros((p + 1, n))
-    a[0], b[0] = 4.0, 1.0
+def _diagonal_bands(n):
+    """Bands of the pencil A = 4 I, B = I."""
+    a, b = np.zeros((4, n)), np.zeros((4, n))
+    a[3], b[3] = 4.0, 1.0
     return a, b
 
 
@@ -326,8 +411,8 @@ def test_banded_lu_zero_pivot_leaves_no_warning():
     # shifted pencil, without a numpy warning; the count takes every zero
     # pivot as negative, so the n eigenvalues equal to the shift count as
     # below it
-    for n, p in [(5, 1), (6, 0)]:
-        a, b = _diagonal_bands(n, p)
+    for n in (5, 6):
+        a, b = _diagonal_bands(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _linalg.inertia_counts(a, b, [4.0])[0] == n
@@ -449,7 +534,7 @@ def test_narrow_kernels_match_scipy_on_random_band_pencils(seed, n, p, shifts, s
     # scaling overflowed.
     if seed is None:
         A, B = 4.0 * np.eye(n), np.eye(n)
-        a, b = _diagonal_bands(n, p)
+        a, b = _diagonal_bands(n)
     else:
         A, B, a, b = _band_pencil(seed, n, p)
     ref = sla.eigh(A, B, eigvals_only=True)
@@ -670,8 +755,8 @@ def test_pairs_below_drops_only_pairs_at_or_above_the_shift(monkeypatch, geometr
 
 def test_count_budget_of_a_sector_solve():
     # the cap_sweep pencil (N = 127) with count = 6: 77 one-shift counts
-    # when isolated brackets were bisected, 56 with regula-falsi steps on
-    # the determinant
+    # when isolated brackets were bisected, 55 with regula-falsi steps on
+    # the determinant and the first pass at 0 and scale
     pencil = _sector_pencil("spherical", 3, 1.5, 1, 64)
     calls = []
     real = _linalg._narrow_count

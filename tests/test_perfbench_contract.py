@@ -44,3 +44,16 @@ def test_solve_pencil_binds_the_arguments_the_tracer_reads():
     for args, kwargs in [((A, B), {"count": 1}), ((A, B, 1), {})]:
         bound = inspect.signature(eigensolve.solve_pencil).bind(*args, **kwargs).arguments
         assert {"A", "B", "count"} <= bound.keys()
+
+
+def test_the_tracer_replays_and_reads_a_dense_sector_pencil():
+    # solve_pencil must keep taking the dense A and B: the tracer replays
+    # the dense chain on them and reads the pencil's size from A
+    layers = _layers()
+    domain = capspectra.make_cap("spherical", 3, 1.0)
+    pencil = capspectra.assemble_sector_forms(domain, 1, capspectra.build_mesh(domain, 8))
+    n = pencil.A.shape[0]
+    stages = layers.replay_stages(_linalg, (n, pencil.A, pencil.B, 2))
+    assert stages is not None and set(stages) == {f"linalg.stage.{stage}_s" for stage in layers.STAGES}
+    bound = inspect.signature(eigensolve.solve_pencil).bind(pencil.A, pencil.B, count=2).arguments
+    assert layers._pencil_attrs(bound, None) == {"dim": n, "vectors": 2}
