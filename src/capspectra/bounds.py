@@ -219,6 +219,9 @@ def wang_xia_implied_gap(lam1, dim):
 class BoundReport:
     """Outcome of evaluating one inequality on a computed spectrum.
 
+    Every report holds the evaluated sides; an inequality the spectrum
+    carries too little data for gets no report at all.
+
     Attributes
     ----------
     bound_id : str
@@ -235,11 +238,6 @@ class BoundReport:
         Truncation index for the quadratic-sum inequalities.
     delta : float or None
         Family parameter where one exists.
-    p, q : int or None
-        Integer parameters of the two-parameter ratio bound.
-    skip_reason : str or None
-        When set, the inequality was not evaluated (lhs/rhs are nan) and
-        this string says why, e.g. too few eigenvalues in the spectrum.
     """
 
     bound_id: str
@@ -250,9 +248,6 @@ class BoundReport:
     slack: float
     k: int | None = None
     delta: float | None = None
-    p: int | None = None
-    q: int | None = None
-    skip_reason: str | None = None
 
 
 def _report(bound_id, applicability, lhs, rhs, **extra):
@@ -266,19 +261,6 @@ def _report(bound_id, applicability, lhs, rhs, **extra):
         rhs=rhs,
         satisfied=ok,
         slack=rhs - lhs,
-        **extra,
-    )
-
-
-def _skip(bound_id, applicability, reason, **extra):
-    return BoundReport(
-        bound_id=bound_id,
-        applicability=applicability,
-        lhs=math.nan,
-        rhs=math.nan,
-        satisfied=False,
-        slack=math.nan,
-        skip_reason=reason,
         **extra,
     )
 
@@ -387,14 +369,17 @@ _REPORT_DELTAS = (0.01, 0.1, 1.0)
 
 
 def bound_report(spectrum):
-    """Evaluate every inequality applicable to a computed spectrum.
+    """Evaluate every inequality the spectrum carries enough data for.
 
-    Euclidean spectra get the ratio and sum bounds for flat domains; cap
-    spectra get the spherical gap inequalities, the delta family at a few
-    representative deltas, and a final sharpness row comparing the two
-    closed-form k = 1 right-hand sides against each other.  Returns a list
-    of :class:`BoundReport`, one per inequality instance, with rows that
-    cannot be evaluated on this spectrum marked via ``skip_reason``.
+    Flat spectra get the ratio bounds ppw, hile_yeh and chen_qian, the sum
+    bound ashbaugh when the spectrum holds n + 1 values, and cheng_yang for
+    each k in (1, 2, 3) it holds k + 1 values for.  Cap spectra with
+    lam1 >= n get the delta family wang_xia at a few representative deltas,
+    its optimum wang_xia_opt, huang_li_cao, hlc_k1, thm_1_1, cor_1_2 and a
+    final sharpness row cor12_vs_hlc_k1 comparing the two closed-form k = 1
+    right-hand sides.  The cap family assumes lam1 >= n, which holds for
+    every proper cap, so a cap spectrum with lam1 < n gets no rows.
+    Returns one :class:`BoundReport` per inequality instance evaluated.
     """
     domain = spectrum.domain
     if domain is None:
@@ -404,56 +389,19 @@ def bound_report(spectrum):
     if len(vals) < 2:
         raise ValueError("bound evaluation needs at least two eigenvalues")
     lam1, lam2 = vals[0], vals[1]
-    reports = []
     if domain.geometry is Geometry.FLAT:
-        reports.append(_report("ppw", "euclidean", lam2, ppw_bound(lam1, dim)))
-        reports.append(
-            _report("hile_yeh", "euclidean", lam2, hile_yeh_bound(lam1, dim))
-        )
-        reports.append(
-            _report(
-                "chen_qian",
-                "euclidean",
-                lam2,
-                chen_qian_bound(lam1, dim, 2, 1),
-                p=2,
-                q=1,
-            )
-        )
-        if len(vals) >= dim + 1:
+        reports = [
+            _report("ppw", "euclidean", lam2, ppw_bound(lam1, dim)),
+            _report("hile_yeh", "euclidean", lam2, hile_yeh_bound(lam1, dim)),
+            _report("chen_qian", "euclidean", lam2, chen_qian_bound(lam1, dim, 2, 1)),
+        ]
+        if len(vals) > dim:
             reports.append(ashbaugh_check(vals, dim))
-        else:
-            reports.append(
-                _skip(
-                    "ashbaugh",
-                    "euclidean",
-                    f"needs {dim + 1} eigenvalues, spectrum has {len(vals)}",
-                )
-            )
-        for k in (1, 2, 3):
-            if len(vals) >= k + 1:
-                reports.append(cheng_yang_check(vals, k, dim))
-            else:
-                reports.append(
-                    _skip(
-                        "cheng_yang",
-                        "euclidean",
-                        f"needs {k + 1} eigenvalues, spectrum has {len(vals)}",
-                        k=k,
-                    )
-                )
+        reports.extend(cheng_yang_check(vals, k, dim) for k in (1, 2, 3) if len(vals) > k)
         return reports
-
-    # Spherical cap family.  All of these assume lam1 >= dim, which holds
-    # for every proper cap; report a skip rather than raising if a caller
-    # feeds a spectrum that violates it.
     if lam1 < dim:
-        reason = f"cap inequalities assume lam1 >= dim (lam1={lam1:.6g}, dim={dim})"
-        for bid in ("wang_xia", "wang_xia_opt", "huang_li_cao", "hlc_k1", "thm_1_1", "cor_1_2"):
-            reports.append(_skip(bid, "spherical", reason))
-        return reports
-    for delta in _REPORT_DELTAS:
-        reports.append(wang_xia_check(vals, 1, dim, delta))
+        return []
+    reports = [wang_xia_check(vals, 1, dim, delta) for delta in _REPORT_DELTAS]
     gap = wang_xia_implied_gap(lam1, dim)
     reports.append(_report("wang_xia_opt", "spherical", lam2, lam1 + gap))
     reports.append(huang_li_cao_check(vals, 1, dim))

@@ -114,25 +114,20 @@ def _meta(config: RunConfig) -> dict:
 
 
 def _bound_rows(reports) -> list[dict]:
-    """JSON rows for evaluated bounds; rows that were skipped are omitted
-    because their sides are undefined."""
-    rows = []
-    for rep in reports:
-        if rep.skip_reason is not None:
-            continue
-        rows.append(
-            {
-                "bound_id": rep.bound_id,
-                "applicability": rep.applicability,
-                "k": rep.k,
-                "delta": rep.delta,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "satisfied": rep.satisfied,
-                "slack": rep.slack,
-            }
-        )
-    return rows
+    """JSON rows of the bound reports, one per evaluated inequality."""
+    return [
+        {
+            "bound_id": rep.bound_id,
+            "applicability": rep.applicability,
+            "k": rep.k,
+            "delta": rep.delta,
+            "lhs": rep.lhs,
+            "rhs": rep.rhs,
+            "satisfied": rep.satisfied,
+            "slack": rep.slack,
+        }
+        for rep in reports
+    ]
 
 
 def _spectrum(config: RunConfig, aperture: float):
@@ -160,8 +155,7 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
         ],
         "bounds": _bound_rows(reports),
     }
-    evaluated = [rep for rep in reports if rep.skip_reason is None]
-    return (0 if all(rep.satisfied for rep in evaluated) else 1), _to_json(document) + "\n"
+    return (0 if all(rep.satisfied for rep in reports) else 1), _to_json(document) + "\n"
 
 
 def cmd_sweep(config: RunConfig) -> tuple[int, str]:
@@ -177,18 +171,19 @@ def cmd_sweep(config: RunConfig) -> tuple[int, str]:
         values = spectrum.values()
         lambda1, lambda2 = values[0], values[1]
         by_id = {rep.bound_id: rep for rep in bound_report(spectrum)}
-        rows = [by_id[bid] for bid in _SWEEP_BOUNDS]
+        # a cap with lambda1 < n has no cap rows: its columns read nan, violated
+        rows = [by_id.get(bid) for bid in _SWEEP_BOUNDS]
         gap_to_n = lambda1 - config.dim
         monotone_ok = True
         if prev_lambda1 is not None:
             monotone_ok = lambda1 < prev_lambda1 - _MONOTONE_TOL
         prev_lambda1 = lambda1
-        if not monotone_ok or gap_to_n <= 0.0 or not all(rep.satisfied for rep in rows):
+        if not monotone_ok or gap_to_n <= 0.0 or not all(rep is not None and rep.satisfied for rep in rows):
             violated = True
         lines.append(
             ",".join(
                 [_format_number(v) for v in (aperture, lambda1, lambda2)]
-                + [_format_number(rep.rhs) for rep in rows]
+                + [_format_number(math.nan if rep is None else rep.rhs) for rep in rows]
                 + [_format_number(gap_to_n), "true" if monotone_ok else "false"]
             )
         )

@@ -207,11 +207,12 @@ def _sample_sector_shapes(domain: CapDomain, l: int, mesh: Mesh, quad_order: int
     W = weight_values(domain, theta) * (h * wref)[None, :]
     # Both forms scale with W, the radial weight t**(n-1) or sin(t)**(n-1)
     # times h w.  Where it underflows to 0 near the pole, the rows there
-    # vanish and B is singular; raise OverflowError, as for t**2 above.
+    # vanish and B is singular.  The aperture then lies below the range of
+    # doubles, so this is a ValueError, unlike the overflow of 1/t**2 above.
     lowest = int(np.argmin(W))
     if W.flat[lowest] == 0.0:
         t_low = float(theta.flat[lowest])
-        raise OverflowError(f"radial weight underflows to 0 at the Gauss point t = {t_low!r}")
+        raise ValueError(f"radial weight underflows to 0 at the Gauss point t = {t_low!r}")
     c = curvature_term(domain, theta)
     s2 = angular_factor_sq(domain, theta)
 

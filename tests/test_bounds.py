@@ -207,7 +207,6 @@ def test_bound_report_flat_composition(disk_spectrum):
     assert ids == ["ppw", "hile_yeh", "chen_qian", "ashbaugh", "cheng_yang", "cheng_yang", "cheng_yang"]
     assert all(r.applicability == "euclidean" for r in reports)
     assert all(r.satisfied for r in reports)
-    assert all(r.skip_reason is None for r in reports)
     assert [r.k for r in reports[-3:]] == [1, 2, 3]
 
 
@@ -230,20 +229,36 @@ def test_bound_report_spherical_composition(cap_sweep):
     assert all(r.satisfied for r in reports)
 
 
-def test_bound_report_marks_unavailable_rows_as_skipped():
+def test_bound_report_omits_unavailable_rows():
     disk = cs.make_cap("flat", 2, 1.0)
     spectrum, _ = cs.solve_spectrum(disk, m=24, count=2)
     reports = cs.bound_report(spectrum)
-    by_id = {}
-    for r in reports:
-        by_id.setdefault(r.bound_id, []).append(r)
-    # two eigenvalues feed the ratio bounds but starve the deeper ones
-    assert all(r.skip_reason is None for r in by_id["ppw"] + by_id["hile_yeh"])
-    assert by_id["ashbaugh"][0].skip_reason is not None
-    cy = by_id["cheng_yang"]
-    assert cy[0].skip_reason is None
-    assert cy[1].skip_reason is not None and cy[2].skip_reason is not None
-    assert math.isnan(cy[1].lhs) and not cy[1].satisfied
+    # two eigenvalues feed the ratio bounds and k = 1 but starve the deeper ones
+    assert [(r.bound_id, r.k) for r in reports] == [
+        ("ppw", None),
+        ("hile_yeh", None),
+        ("chen_qian", None),
+        ("cheng_yang", 1),
+    ]
+    assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports)
+
+
+def _flat_spectrum(dim, count):
+    """A hand-built flat spectrum of ``count`` simple values 10, 11, ..."""
+    entries = tuple(
+        cs.SpectrumEntry(value=10.0 + i, l=0, multiplicity=1, copy_index=1) for i in range(count)
+    )
+    return cs.Spectrum(entries=entries, dim=dim, domain=cs.make_cap("flat", dim, 1.0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bound_report_has_ashbaugh_only_with_dim_plus_one_values(dim):
+    without = [r.bound_id for r in cs.bound_report(_flat_spectrum(dim, dim))]
+    with_row = [r.bound_id for r in cs.bound_report(_flat_spectrum(dim, dim + 1))]
+    assert "ashbaugh" not in without
+    assert with_row.count("ashbaugh") == 1
+    assert without.count("cheng_yang") == min(dim - 1, 3)
+    assert with_row.count("cheng_yang") == min(dim, 3)
 
 
 def test_bound_report_requires_domain_and_depth():
@@ -258,14 +273,11 @@ def test_bound_report_requires_domain_and_depth():
 
 
 def test_bound_report_skips_cap_rows_below_flat_threshold():
-    # a synthetic cap spectrum with lam1 below dim trips the blanket skip
+    # a synthetic cap spectrum with lam1 below dim gets none of the cap rows
     cap = cs.make_cap("spherical", 3, 1.0)
     entries = (
         cs.SpectrumEntry(value=1.5, l=0, multiplicity=1, copy_index=1),
         cs.SpectrumEntry(value=2.5, l=1, multiplicity=3, copy_index=1),
     )
     spectrum = cs.Spectrum(entries=entries, dim=3, domain=cap)
-    reports = cs.bound_report(spectrum)
-    assert len(reports) == 6
-    assert all(r.skip_reason is not None for r in reports)
-    assert all(not r.satisfied for r in reports)
+    assert cs.bound_report(spectrum) == []

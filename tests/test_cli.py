@@ -100,6 +100,15 @@ def test_solve_skipped_rows_stay_out_of_the_output():
         assert all(not isinstance(v, float) or v == v for v in row.values())
 
 
+def test_solve_writes_every_row_of_the_bound_report():
+    rc, out, _ = _run("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1.0",
+                      "--elements", "48", "--num-eigs", "2")
+    assert rc == 0
+    ids = [row["bound_id"] for row in json.loads(out)["bounds"]]
+    spectrum, _ = capspectra.solve_spectrum(capspectra.make_cap("flat", 2, 1.0), m=48, count=2)
+    assert ids == [r.bound_id for r in capspectra.bound_report(spectrum)]
+
+
 def test_small_cap_solve_reports_finite_bounds():
     # lambda1 near 6.6e6 puts the optimal delta of the wang_xia_opt row near 1.5e-7
     rc, out, err = _run("solve", "--geometry", "spherical", "--dim", "2",
@@ -146,6 +155,29 @@ def test_sweep_csv_layout_and_monotone_column():
         if prev is not None:
             assert lam1 < prev
         prev = lam1
+
+
+def test_sweep_row_below_the_flat_threshold_reads_nan_and_exits_one(monkeypatch):
+    import dataclasses
+
+    real = cli.solve_spectrum
+
+    def forced(domain, **kwargs):
+        # lambda1 = n - 0.5 at one aperture: no cap inequality applies there
+        spectrum, sectors = real(domain, **kwargs)
+        if domain.aperture == 1.0:
+            head = dataclasses.replace(spectrum.entries[0], value=domain.dim - 0.5)
+            spectrum = dataclasses.replace(spectrum, entries=(head,) + spectrum.entries[1:])
+        return spectrum, sectors
+
+    monkeypatch.setattr(cli, "solve_spectrum", forced)
+    rc, out, err = _run("sweep", "--geometry", "spherical", "--dim", "2",
+                        "--aperture", "0.5:1.5:0.5", "--elements", "32", "--num-eigs", "2")
+    assert rc == 1 and err == ""
+    rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
+    assert rows["1"][1] == "1.5"
+    assert rows["1"][3:8] == ["nan", "nan", "nan", "nan", "-0.5"]
+    assert all(field != "nan" for key in ("0.5", "1.5") for field in rows[key])
 
 
 def test_small_cap_sweep_has_no_inf():
@@ -264,14 +296,14 @@ def test_underflowing_aperture_exits_two():
 @pytest.mark.parametrize("elements", ["8", "64"])
 def test_underflowing_weight_exits_two(elements):
     # the quadrature weight t**4 h w underflows to 0, so A and B would be
-    # all zero: the same usage error as an underflowing t**2, with no numpy
-    # warning before the one error line
+    # all zero: the aperture lies below the double range, a usage error with
+    # no numpy warning before the one error line
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = _run("solve", "--geometry", "flat", "--dim", "5", "--aperture", "1e-70",
                             "--elements", elements)
     assert (rc, out) == (2, "")
-    assert err.startswith("error: arithmetic overflowed double precision (radial weight underflows")
+    assert err.startswith("error: radial weight underflows to 0 at the Gauss point t = ")
     assert err.count("\n") == 1
 
 
