@@ -8,8 +8,8 @@ Exit codes: 0 on success, 1 when a checked inequality is violated (a
 bound fails on the computed spectrum, a sweep row breaks monotonicity or
 the lower bound on the first eigenvalue, or an identity check does not
 pass), 2 on configuration or usage errors (an output file that cannot be
-written, a ``--quad-order`` above 64, an ``--elements`` above 4096 (the
-dense sector pencil grows as its square), and an aperture or mesh whose
+written, a ``--quad-order`` above 64, an ``--elements`` outside
+``build_mesh``'s range of 4 to 1024, and an aperture or mesh whose
 arithmetic overflows double precision, or whose radial weight underflows
 to 0, included), 3 when the solver fails
 (a pencil that is not definite, or an iteration that does not converge).
@@ -22,13 +22,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from ._linalg import CholeskyError, ConvergenceError
 from .bounds import bound_report
 from .domain import make_cap
 from .eigensolve import solve_spectrum
+from .fem import build_mesh
 from .prooflab import run_identity_suite
 
 _MONOTONE_TOL = 1e-8
@@ -38,25 +38,8 @@ _MAX_SWEEP_POINTS = 1000
 _MAX_EIGS = 1000
 #: most Gauss points per element; the rule's companion matrix grows as its square
 _MAX_QUAD_ORDER = 64
-#: most mesh elements; the dense sector pencil grows as the square of the mesh
-_MAX_ELEMENTS = 4096
 #: bound_report rows tabulated by the sweep, in CSV column order
 _SWEEP_BOUNDS = ("thm_1_1", "cor_1_2", "wang_xia_opt", "hlc_k1")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one subcommand plus the numerical knobs."""
-
-    subcommand: str
-    geometry: str
-    dim: int
-    aperture: float | None
-    sweep: tuple[float, ...] | None
-    elements: int
-    quad_order: int
-    num_eigs: int
-    output: str | None
 
 
 def _format_number(value: float) -> str:
@@ -97,7 +80,7 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _meta(config: RunConfig) -> dict:
+def _meta(config: argparse.Namespace) -> dict:
     meta_config = {
         "subcommand": config.subcommand,
         "geometry": config.geometry,
@@ -130,7 +113,7 @@ def _bound_rows(reports) -> list[dict]:
     ]
 
 
-def _spectrum(config: RunConfig, aperture: float):
+def _spectrum(config: argparse.Namespace, aperture: float):
     """The merged spectrum of the configured domain with this aperture."""
     domain = make_cap(config.geometry, config.dim, aperture)
     spectrum, _ = solve_spectrum(
@@ -139,7 +122,7 @@ def _spectrum(config: RunConfig, aperture: float):
     return spectrum
 
 
-def cmd_solve(config: RunConfig) -> tuple[int, str]:
+def cmd_solve(config: argparse.Namespace) -> tuple[int, str]:
     spectrum = _spectrum(config, config.aperture)
     reports = bound_report(spectrum)
     document = {
@@ -158,7 +141,7 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
     return (0 if all(rep.satisfied for rep in reports) else 1), _to_json(document) + "\n"
 
 
-def cmd_sweep(config: RunConfig) -> tuple[int, str]:
+def cmd_sweep(config: argparse.Namespace) -> tuple[int, str]:
     header = (
         "aperture,lambda1,lambda2,thm11_rhs,cor12_rhs,wang_xia_opt_rhs,"
         "hlc_k1_rhs,lambda1_minus_n,monotone_ok"
@@ -190,7 +173,7 @@ def cmd_sweep(config: RunConfig) -> tuple[int, str]:
     return (1 if violated else 0), "\n".join(lines) + "\n"
 
 
-def cmd_identities(config: RunConfig) -> tuple[int, str]:
+def cmd_identities(config: argparse.Namespace) -> tuple[int, str]:
     domain = make_cap(config.geometry, config.dim, config.aperture)
     reports = run_identity_suite(domain, m=config.elements, quad_order=config.quad_order)
     document = {
@@ -267,36 +250,24 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     return tuple(points)
 
 
-def _config_from_args(args) -> RunConfig:
-    sweep = None
-    aperture = None
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate the arguments; returns them with aperture (None in a sweep) and sweep parsed."""
     if args.subcommand == "sweep":
-        sweep = _parse_sweep(args.aperture)
+        args.sweep, args.aperture = _parse_sweep(args.aperture), None
     else:
-        aperture = float(args.aperture)
+        args.sweep, args.aperture = None, float(args.aperture)
     if args.num_eigs < 2:
         raise ValueError(f"num_eigs must be >= 2 so bounds can be evaluated (got {args.num_eigs})")
     if args.num_eigs > _MAX_EIGS:
         raise ValueError(f"num_eigs must be <= {_MAX_EIGS} (got {args.num_eigs})")
     if args.quad_order > _MAX_QUAD_ORDER:
         raise ValueError(f"quad_order must be <= {_MAX_QUAD_ORDER} (got {args.quad_order})")
-    if args.elements > _MAX_ELEMENTS:
-        raise ValueError(f"elements must be <= {_MAX_ELEMENTS} (got {args.elements})")
     if args.subcommand == "sweep" and args.geometry != "spherical":
         raise ValueError("sweep requires spherical geometry (its columns are cap bounds)")
-    for point in sweep or (aperture,):
-        make_cap(args.geometry, args.dim, point)  # every domain is valid before the first solve
-    return RunConfig(
-        subcommand=args.subcommand,
-        geometry=args.geometry,
-        dim=args.dim,
-        aperture=aperture,
-        sweep=sweep,
-        elements=args.elements,
-        quad_order=args.quad_order,
-        num_eigs=args.num_eigs,
-        output=args.output,
-    )
+    for point in args.sweep or (args.aperture,):
+        # every domain and its mesh are valid before the first solve
+        build_mesh(make_cap(args.geometry, args.dim, point), args.elements)
+    return args
 
 
 def main(argv=None, out=None, err=None) -> int:

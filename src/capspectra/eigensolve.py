@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import _BRACKET_SLACK, inertia_counts, pencil_bands, solve_pencil
 from .domain import CapDomain, Geometry, SectorIndex, harmonic_multiplicity, surface_area
-from .fem import Mesh, OperatorPencil, assemble_sector_forms, build_mesh, rayleigh_quotient
+from .fem import Mesh, assemble_sector_forms, build_mesh, rayleigh_quotient
 
 __all__ = [
     "Eigenpair",
@@ -87,32 +87,6 @@ class Spectrum:
         return np.array([e.value for e in self.entries])
 
 
-def _sector_pairs(pencil: OperatorPencil, mesh: Mesh, domain: CapDomain, count: int) -> list[Eigenpair]:
-    """The count smallest eigenpairs of an assembled sector pencil, gradient-normalized.
-
-    Inverse iteration inside the pencil solve starts from the fixed seed
-    2718 + l, so every sector's vectors are reproducible.
-    """
-    k = min(count, pencil.A.shape[0])
-    _, vectors = solve_pencil(pencil.A, pencil.B, count=k, seed=2718 + pencil.sector.l)
-    area = surface_area(domain.dim)
-    pairs = []
-    for i in range(k):
-        x = vectors[:, i]
-        x = x / math.sqrt(area * float(x @ (pencil.B @ x)))
-        pairs.append(
-            Eigenpair(
-                value=rayleigh_quotient(pencil, x),
-                sector=pencil.sector,
-                coeffs=x,
-                dof_map=pencil.dof_map,
-                mesh=mesh,
-                domain=domain,
-            )
-        )
-    return pairs
-
-
 def solve_sector(
     domain: CapDomain,
     l: int,
@@ -120,11 +94,13 @@ def solve_sector(
     quad_order: int = 6,
     count: int = 6,
 ) -> list[Eigenpair]:
-    """The count smallest eigenpairs of sector l, gradient-normalized."""
+    """The count smallest eigenpairs of sector l on m elements, gradient-normalized.
+
+    The mesh range is ``build_mesh``'s, checked before any assembly.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")
-    mesh = build_mesh(domain, m)
-    return _sector_pairs(assemble_sector_forms(domain, l, mesh, quad_order), mesh, domain, count)
+    return _pairs_below(domain, l, build_mesh(domain, m), quad_order, count, None)
 
 
 def _entry_value(item) -> float:
@@ -198,14 +174,31 @@ def _pairs_below(
     count at shift says how many of the pencil's eigenvalues lie below
     it, and only min(count, that many) pairs are solved; none gives [].
     The dense pencil lives only here, so no two sectors' pencils are held
-    at once.
+    at once.  Inverse iteration inside the pencil solve starts from the
+    fixed seed 2718 + l, so every sector's vectors are reproducible.
     """
     pencil = assemble_sector_forms(domain, l, mesh, quad_order)
     if shift is not None:
         count = min(count, int(inertia_counts(*pencil_bands(pencil.A, pencil.B), [shift])[0]))
         if count == 0:
             return []
-    return _sector_pairs(pencil, mesh, domain, count)
+    k = min(count, pencil.A.shape[0])
+    _, vectors = solve_pencil(pencil.A, pencil.B, count=k, seed=2718 + l)
+    area = surface_area(domain.dim)
+    pairs = []
+    for x in vectors.T:
+        x = x / math.sqrt(area * float(x @ (pencil.B @ x)))
+        pairs.append(
+            Eigenpair(
+                value=rayleigh_quotient(pencil, x),
+                sector=pencil.sector,
+                coeffs=x,
+                dof_map=pencil.dof_map,
+                mesh=mesh,
+                domain=domain,
+            )
+        )
+    return pairs
 
 
 def _sector_lower_bound(domain: CapDomain, l: int) -> float:

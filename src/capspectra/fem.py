@@ -70,10 +70,20 @@ class Mesh:
         return float(self.nodes[-1])
 
 
+#: most mesh elements; past it the pencil rounded to double loses digits
+_MAX_ELEMENTS = 1024
+
+
 def build_mesh(domain: CapDomain, m: int) -> Mesh:
-    """m >= 4 uniform elements between the centre and the clamped boundary."""
+    """4 <= m <= ``_MAX_ELEMENTS`` uniform elements from the centre to the clamped boundary.
+
+    Past m = 1024 the pencil rounded to double loses more digits than the
+    finer mesh gains.
+    """
     if m < 4:
         raise ValueError(f"need at least 4 elements (got {m})")
+    if m > _MAX_ELEMENTS:
+        raise ValueError(f"elements must be <= {_MAX_ELEMENTS} (got {m})")
     return Mesh(nodes=np.linspace(0.0, domain.aperture, m + 1))
 
 
@@ -336,20 +346,17 @@ def interpolate_profile(mesh: Mesh, f, fp) -> np.ndarray:
     return full
 
 
-def eval_radial_solution(mesh: Mesh, coeffs: np.ndarray, t, deriv: int = 0, dof_map=None):
+def eval_radial_solution(mesh: Mesh, coeffs: np.ndarray, t, deriv: int = 0):
     """Evaluate the piecewise-cubic solution (or derivative) at t.
 
-    ``coeffs`` is the full nodal vector unless ``dof_map`` is given, in
-    which case it is the free-DOF vector and constrained DOFs are zero.
-    Accepts scalar or array t in [0, aperture]; the second derivative is
-    the piecewise-linear one of the cubic.
+    ``coeffs`` is the full nodal vector; a free-DOF vector is expanded
+    first with ``expand_coefficients``.  Accepts scalar or array t in
+    [0, aperture]; the second derivative is the piecewise-linear one of
+    the cubic.
     """
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1, or 2 (got {deriv})")
-    if dof_map is not None:
-        coeffs = expand_coefficients(mesh, np.asarray(coeffs, dtype=float), dof_map)
-    else:
-        coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0) or np.any(t_arr > mesh.aperture * (1.0 + 1e-12)):
         raise ValueError(f"t must lie in [0, {mesh.aperture}]")

@@ -261,11 +261,15 @@ def no_solve(monkeypatch):
          "num_eigs must be <= 1000 (got 1001)"),
         (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--quad-order", "65"),
          "quad_order must be <= 64 (got 65)"),
-        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "4097"),
-         "elements must be <= 4096 (got 4097)"),
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "1025"),
+         "elements must be <= 1024 (got 1025)"),
+        (("solve", "--geometry", "flat", "--dim", "2", "--aperture", "1", "--elements", "3"),
+         "need at least 4 elements (got 3)"),
+        (("sweep", "--geometry", "spherical", "--dim", "2", "--aperture", "0.5:1.0:0.5",
+          "--elements", "2048"), "elements must be <= 1024 (got 2048)"),
     ],
     ids=["sweep_aperture", "dim17", "dim40", "sweep_dim17", "identities_dim17", "num_eigs", "quad_order",
-         "elements"],
+         "elements", "elements_below_four", "sweep_elements"],
 )
 def test_invalid_runs_exit_two_before_any_solve(no_solve, argv, fragment):
     rc, out, err = _run(*argv)

@@ -353,12 +353,11 @@ def test_solve_pencil_separates_eigenvalues_far_below_the_diagonal_scale(t):
 
 
 def test_fine_mesh_value_does_not_depend_on_the_seed():
-    # spherical n = 5, R = 2, sector 1 at m = 2048 (N = 4095): with one
-    # working-precision refinement step this value moved with the seed and
-    # the LU shift, up to 3e-7 off; the extended-precision steps bring each
-    # seed within the discretization error
+    # spherical n = 5, R = 2, sector 1 at m = 1024 (N = 2047), the finest
+    # mesh build_mesh accepts: the extended-precision refinement steps bring
+    # each seed within the discretization error (about 1e-12 off here)
     domain = cs.make_cap("spherical", 5, 2.0)
-    pencil = cs.assemble_sector_forms(domain, 1, cs.build_mesh(domain, 2048))
+    pencil = cs.assemble_sector_forms(domain, 1, cs.build_mesh(domain, 1024))
     ref = cs.cap_eigenvalue(5, 1, 2.0, 1)
     for seed in (2719, 3719, 4719):
         _, vectors = cs.solve_pencil(pencil.A, pencil.B, count=2, seed=seed)
@@ -874,6 +873,15 @@ def test_disk_lambda1_at_m256_below_assembly_noise(disk256):
     """
     want = cs.bessel_zero(1, 1) ** 2
     assert disk256["lam1"] == pytest.approx(want, rel=1e-10)
+
+
+def test_solve_sector_rejects_a_mesh_above_the_range_before_any_assembly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pencil was assembled")
+
+    monkeypatch.setattr(eigensolve, "assemble_sector_forms", refuse)
+    with pytest.raises(ValueError, match=r"elements must be <= 1024 \(got 2048\)"):
+        cs.solve_sector(cs.make_cap("flat", 2, 1.0), 0, m=2048)
 
 
 def test_solve_sector_output_contract():

@@ -23,6 +23,14 @@ def test_build_mesh_rejects_tiny_meshes():
         cs.build_mesh(cap, 3)
 
 
+def test_build_mesh_accepts_1024_and_rejects_finer_meshes():
+    # past m = 1024 the pencil rounded to double loses digits
+    cap = cs.make_cap("flat", 2, 1.0)
+    assert cs.build_mesh(cap, 1024).num_elements == 1024
+    with pytest.raises(ValueError, match=r"^elements must be <= 1024 \(got 1025\)$"):
+        cs.build_mesh(cap, 1025)
+
+
 def test_free_dof_counts_per_sector():
     m = 9
     # axisymmetric sector keeps the pole value, drops the pole slope
